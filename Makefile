@@ -2,16 +2,20 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint lint-annotate lint-json test test-race race cover bench bench-parallel bench-json bench-scale bench-scale-short bench-smoke smoke soak soak-short plan-soak-short frag-sweep frag-sweep-short multidim-sweep multidim-sweep-short experiments ablations extensions fuzz fuzz-short clean
+.PHONY: all check fmt-check perfbench-smoke build vet lint lint-annotate lint-json test test-race race cover bench bench-parallel bench-json bench-scale bench-scale-short bench-smoke smoke soak soak-short plan-soak-short frag-sweep frag-sweep-short multidim-sweep multidim-sweep-short experiments ablations extensions fuzz fuzz-short clean
 
 all: check
 
-# check is the pre-merge gate: build, vet, the project linters, the full test
-# suite, the same suite again under the race detector (the parallel pipeline
-# must be data-race-free and bit-identical at any worker count), the smoothopd
-# replay smoke, the short fault-injection soak, the concurrent what-if planner
-# soak, and the short online-placement fragmentation sweep.
-check: build vet lint test test-race smoke soak-short plan-soak-short frag-sweep-short multidim-sweep-short
+# check is the pre-merge gate: gofmt, build, vet, the project linters, the
+# full test suite, the same suite again under the race detector (the parallel
+# pipeline must be data-race-free and bit-identical at any worker count), the
+# smoothopd replay smoke, the short fault-injection soak, the concurrent
+# what-if planner soak, and the short online-placement fragmentation sweep.
+check: fmt-check build vet lint test test-race smoke soak-short plan-soak-short frag-sweep-short multidim-sweep-short
+
+# fmt-check fails when any Go file is not gofmt-formatted.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -120,6 +124,22 @@ multidim-sweep:
 # power-only at equal admissions and equal-or-better Σ leaf peaks.
 multidim-sweep-short:
 	$(GO) test -run 'TestMultiDimSweepShort' -count=1 ./internal/experiments
+
+# perfbench-smoke runs the end-to-end benchmark's own tests, then each of its
+# four workloads once for one second, in the environment perfbench/run.sh
+# sets up (build cache and temporaries under .bench_build, no module
+# downloads). A workload whose correctness checks fail exits non-zero.
+PERFBENCH_OUT = $(CURDIR)/.bench_build
+PERFBENCH_ENV = GOCACHE=$(PERFBENCH_OUT)/go-cache GOTMPDIR=$(PERFBENCH_OUT)/go-tmp \
+	GOMODCACHE=$(PERFBENCH_OUT)/go-mod XDG_CONFIG_HOME=$(PERFBENCH_OUT)/config \
+	GOTOOLCHAIN=local GOPROXY=off GOFLAGS=-mod=mod GOWORK=off GOENV=off
+
+perfbench-smoke:
+	mkdir -p $(PERFBENCH_OUT)/go-cache $(PERFBENCH_OUT)/go-tmp $(PERFBENCH_OUT)/go-mod $(PERFBENCH_OUT)/config
+	cd perfbench && $(PERFBENCH_ENV) $(GO) test ./...
+	for w in pipeline replay admit-churn plan-mixed; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
+	done
 
 experiments:
 	$(GO) run ./cmd/experiments -all

@@ -10,6 +10,7 @@ import (
 	"repro/internal/powertree"
 	"repro/internal/timeseries"
 	"repro/internal/tracestore"
+	"repro/internal/workload"
 )
 
 // Online admission: the runtime's arrival-stream path. Bootstrap places a
@@ -110,7 +111,7 @@ func (r *Runtime) Admit(req AdmitRequest) (string, error) {
 	if _, ok := r.online.Leaf(id); ok {
 		return "", fmt.Errorf("%w: %q", placement.ErrAlreadyAdmitted, id)
 	}
-	tr, quarantined, err := r.admissionTrace(id, service, asOf, trainWeeks)
+	tr, q, quarantined, err := r.admissionTrace(id, service, asOf, trainWeeks)
 	if err != nil {
 		return "", err
 	}
@@ -124,25 +125,26 @@ func (r *Runtime) Admit(req AdmitRequest) (string, error) {
 		return "", err
 	}
 	r.services[id] = service
+	r.quality[id] = q
 	if len(req.Demands) > 0 {
 		r.demands[id] = req.Demands.Clone()
 	}
 	if quarantined {
+		r.onlineFilled[id] = true
 		r.quarantined = append(r.quarantined, id)
 		obsQuarantined.Set(float64(len(r.quarantined)))
-	} else {
-		r.refPool[service] = append(r.refPool[service], tr)
-		r.refAll = append(r.refAll, tr)
 	}
 	obsRuntimeAdmissions.Inc()
-	r.fragDelta(r.onlineTraces, true, leaf)
+	obsFragDeltaRefreshes.Inc()
+	r.setFragGauges(r.online.Snapshot())
 	r.invalidatePlanSnapshot()
 	return leaf.Name, nil
 }
 
 // RetireInstance removes a previously placed instance from the live tree
-// and returns the leaf that hosted it. Unknown instances wrap
-// placement.ErrUnknownInstance.
+// and returns the leaf that hosted it, dropping the instance from every
+// per-instance record (demands, service, quality, quarantine). Unknown
+// instances wrap placement.ErrUnknownInstance.
 func (r *Runtime) RetireInstance(id string) (string, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -155,10 +157,10 @@ func (r *Runtime) RetireInstance(id string) (string, error) {
 			return "", err
 		}
 		delete(r.onlineTraces, id)
-		delete(r.demands, id)
-		obsRuntimeRetirements.Inc()
-		r.fragDelta(r.onlineTraces, true, leaf)
-		r.invalidatePlanSnapshot()
+		delete(r.onlineFilled, id)
+		r.forget(id)
+		obsFragDeltaRefreshes.Inc()
+		r.setFragGauges(r.online.Snapshot())
 		return leaf.Name, nil
 	}
 	// No online view is live (e.g. right after Bootstrap or Tick): detach
@@ -171,65 +173,71 @@ func (r *Runtime) RetireInstance(id string) (string, error) {
 			if !leaf.Detach(id) {
 				return "", fmt.Errorf("core: retire bookkeeping failed for %q", id)
 			}
-			delete(r.demands, id)
-			obsRuntimeRetirements.Inc()
-			r.fragDelta(r.traces, false, leaf)
-			r.invalidatePlanSnapshot()
+			r.forget(id)
+			r.refreshFragGauges(r.traces)
 			return leaf.Name, nil
 		}
 	}
 	return "", fmt.Errorf("%w: %q", placement.ErrUnknownInstance, id)
 }
 
+// forget completes a retirement: it drops the instance from the runtime's
+// per-instance records — so they stay bounded by the resident count under
+// endless churn — counts the retirement and invalidates the plan snapshot.
+//
+// smoothop:locked mu
+func (r *Runtime) forget(id string) {
+	delete(r.demands, id)
+	delete(r.services, id)
+	delete(r.quality, id)
+	for i, qid := range r.quarantined {
+		if qid == id {
+			// Copy rather than shift in place: a tick's DriftReport shares the
+			// slice it was built from.
+			r.quarantined = append(r.quarantined[:i:i], r.quarantined[i+1:]...)
+			obsQuarantined.Set(float64(len(r.quarantined)))
+			break
+		}
+	}
+	obsRuntimeRetirements.Inc()
+	r.invalidatePlanSnapshot()
+}
+
 // ensureOnline (re)builds the runtime's online-placement view: averaged
 // I-traces for every current resident as of (asOf, trainWeeks), quarantined
 // residents filled from reference traces, wrapped in a placement.Online with
 // the asynchrony-aware policy. The view is cached between admissions with
-// the same window and invalidated by Tick (remapping moves instances).
+// the same window; a Tick resyncs it (remapping moves instances).
 //
 // smoothop:locked mu
 func (r *Runtime) ensureOnline(asOf time.Time, trainWeeks int) error {
 	if r.online != nil && r.onlineAsOf.Equal(asOf) && r.onlineWeeks == trainWeeks {
 		return nil
 	}
-	traces := make(map[string]timeseries.Series)
-	byService := make(map[string][]timeseries.Series)
-	var healthy []timeseries.Series
-	var quarantined []string
-	for _, id := range r.tree.AllInstances() {
-		tr, q, err := r.residentTrace(id, asOf, trainWeeks)
-		if err != nil {
-			return fmt.Errorf("core: admission view for %q: %w", id, err)
-		}
-		if q.Grade == tracestore.GradeNoData || q.Coverage < r.minCoverage {
-			quarantined = append(quarantined, id)
-			continue
-		}
-		traces[id] = tr
-		byService[r.services[id]] = append(byService[r.services[id]], tr)
-		healthy = append(healthy, tr)
-	}
-	if err := r.fillReferences(traces, quarantined, byService, healthy); err != nil {
+	view, err := r.gradeView(r.tree.AllInstances(), func(id string) (timeseries.Series, tracestore.Quality, error) {
+		return r.residentTrace(id, asOf, trainWeeks)
+	})
+	if err != nil {
 		return fmt.Errorf("core: admission view: %w", err)
 	}
-	lookup := placement.TraceFn(func(id string) (timeseries.Series, bool) {
-		tr, ok := traces[id]
-		return tr, ok
-	})
-	online, err := placement.NewOnline(r.tree, lookup, r.placementCfg())
+	traces := view.traces
+	filled := make(map[string]bool, len(view.quarantined))
+	for _, id := range view.quarantined {
+		filled[id] = true
+	}
+	online, err := placement.NewOnline(r.tree, placement.TraceFn(workload.SubPowerFn(traces)), r.placementCfg())
 	if err != nil {
 		return fmt.Errorf("core: admission view: %w", err)
 	}
 	r.online = online
 	r.onlineTraces = traces
-	r.refPool = byService
-	r.refAll = healthy
+	r.onlineFilled = filled
 	r.onlineAsOf = asOf
 	r.onlineWeeks = trainWeeks
-	// Re-anchor the fragmentation aggregator on the new view's trace map so
-	// subsequent admissions can refresh gauges by delta, and drop the cached
-	// planning snapshot — it captured the previous trace view.
-	r.rebuildFragView(traces, true)
+	// The new view aggregated the whole tree once; publish that, and drop
+	// the cached planning snapshot — it captured the previous trace view.
+	obsFragFullRefreshes.Inc()
+	r.setFragGauges(online.Snapshot())
 	r.invalidatePlanSnapshot()
 	return nil
 }
@@ -247,87 +255,52 @@ func (r *Runtime) residentTrace(id string, asOf time.Time, trainWeeks int) (time
 	return tr, q, nil
 }
 
-// admissionTrace resolves the arriving instance's scoring trace: its own
-// averaged I-trace when healthy, otherwise its service's reference trace
-// (mean of healthy same-service residents, then the fleet-wide mean). The
-// boolean reports whether the fallback fired.
+// admissionTrace resolves the arriving instance's scoring trace and grade:
+// its own averaged I-trace when healthy, otherwise a reference trace — the
+// mean of the admission view's current healthy same-service residents, then
+// of all its healthy residents. The boolean reports whether the fallback
+// fired.
 //
 // smoothop:locked mu
-func (r *Runtime) admissionTrace(id, service string, asOf time.Time, trainWeeks int) (timeseries.Series, bool, error) {
+func (r *Runtime) admissionTrace(id, service string, asOf time.Time, trainWeeks int) (timeseries.Series, tracestore.Quality, bool, error) {
 	tr, q, err := r.residentTrace(id, asOf, trainWeeks)
 	if err != nil {
-		return timeseries.Series{}, false, fmt.Errorf("core: admission trace for %q: %w", id, err)
+		return timeseries.Series{}, q, false, fmt.Errorf("core: admission trace for %q: %w", id, err)
 	}
-	r.quality[id] = q
-	if q.Grade != tracestore.GradeNoData && q.Coverage >= r.minCoverage {
-		return tr, false, nil
+	if !r.belowFloor(q) {
+		return tr, q, false, nil
 	}
-	ref, ok := meanSeries(r.refPool[service])
-	if !ok {
-		ref, ok = meanSeries(r.refAll)
+	var same, fleet []timeseries.Series
+	for _, rid := range r.tree.AllInstances() {
+		if r.onlineFilled[rid] {
+			continue
+		}
+		fleet = append(fleet, r.onlineTraces[rid])
+		if r.services[rid] == service {
+			same = append(same, r.onlineTraces[rid])
+		}
 	}
-	if !ok {
-		return timeseries.Series{}, false, ErrAllQuarantined
-	}
-	obsFallbackTraces.Inc()
-	return ref, true, nil
+	ref, err := referenceTrace(same, fleet)
+	return ref, q, true, err
 }
 
-// rebuildFragView rebuilds the fragmentation-gauge aggregator from scratch
-// over the given trace view and refreshes the gauges. online records which
-// view the aggregator's PowerFn captured (the admission view mutates in
-// place across admissions, so the captured map stays current until the view
-// itself is replaced). Gauges are best-effort: a nil or broken view drops
-// the aggregator and leaves the gauges at their last value rather than
-// failing the operation.
+// refreshFragGauges publishes the fragmentation gauges from one full
+// aggregation of a Bootstrap/Tick trace view. Gauges are best-effort: a
+// broken view leaves them at their last value rather than failing the
+// operation.
 //
 // smoothop:locked mu
-func (r *Runtime) rebuildFragView(traces map[string]timeseries.Series, online bool) {
-	if traces == nil {
-		r.fragAgg = nil
-		return
-	}
-	view := traces // local so the PowerFn closure does not capture guarded state
-	agg, err := powertree.NewAggregator(r.tree, func(id string) (timeseries.Series, bool) {
-		tr, ok := view[id]
-		return tr, ok
-	})
+func (r *Runtime) refreshFragGauges(traces map[string]timeseries.Series) {
+	aggs, err := r.tree.AggregateAll(workload.SubPowerFn(traces))
 	if err != nil {
-		r.fragAgg = nil
 		return
 	}
-	r.fragAgg = agg
-	r.fragViewOnline = online
 	obsFragFullRefreshes.Inc()
-	r.setFragGauges(agg.Snapshot())
-}
-
-// fragDelta refreshes the fragmentation gauges after churn confined to the
-// given leaves, folding only those leaves into the cached aggregation. Any
-// mismatch — no aggregator yet, the trace view switched, a mark or update
-// failure — falls back to a full rebuild, so the gauges never go stale.
-//
-// smoothop:locked mu
-func (r *Runtime) fragDelta(traces map[string]timeseries.Series, online bool, leaves ...*powertree.Node) {
-	if r.fragAgg == nil || r.fragViewOnline != online {
-		r.rebuildFragView(traces, online)
-		return
-	}
-	if err := r.fragAgg.MarkDirty(leaves...); err != nil {
-		r.rebuildFragView(traces, online)
-		return
-	}
-	snap, err := r.fragAgg.Update()
-	if err != nil {
-		r.rebuildFragView(traces, online)
-		return
-	}
-	obsFragDeltaRefreshes.Inc()
-	r.setFragGauges(snap)
+	r.setFragGauges(aggs)
 }
 
 // setFragGauges publishes per-level fragmentation rates computed from an
-// aggregation snapshot. Best-effort, like the refresh paths above.
+// aggregation snapshot. Best-effort, like refreshFragGauges.
 //
 // smoothop:locked mu
 func (r *Runtime) setFragGauges(aggs *powertree.Aggregates) {
@@ -342,23 +315,31 @@ func (r *Runtime) setFragGauges(aggs *powertree.Aggregates) {
 	}
 }
 
+// traceView is the latest trace view: the admission view when one is live,
+// otherwise the last Bootstrap/Tick traces.
+//
+// smoothop:locked mu
+func (r *Runtime) traceView() map[string]timeseries.Series {
+	if r.onlineTraces != nil {
+		return r.onlineTraces
+	}
+	return r.traces
+}
+
 // FragmentationRates reports the tree's current power-fragmentation rates
-// per level, computed from the latest trace view (the admission view when
-// one is live, otherwise the last Bootstrap/Tick traces).
+// per level, computed from the latest trace view (the admission view's
+// maintained aggregates when one is live, otherwise the last Bootstrap/Tick
+// traces).
 func (r *Runtime) FragmentationRates() ([]metrics.FragmentationRow, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.placed {
 		return nil, ErrNotPlaced
 	}
-	traces := r.onlineTraces
-	if traces == nil {
-		traces = r.traces
+	if r.online != nil {
+		return metrics.FragmentationRatesFrom(r.tree, r.online.Snapshot())
 	}
-	return metrics.FragmentationRates(r.tree, func(id string) (timeseries.Series, bool) {
-		tr, ok := traces[id]
-		return tr, ok
-	})
+	return metrics.FragmentationRates(r.tree, workload.SubPowerFn(r.traces))
 }
 
 // MultiFragmentationRates is FragmentationRates extended with per-dimension
@@ -373,13 +354,6 @@ func (r *Runtime) MultiFragmentationRates() ([]metrics.FragmentationRow, error) 
 	if !r.placed {
 		return nil, ErrNotPlaced
 	}
-	traces := r.onlineTraces
-	if traces == nil {
-		traces = r.traces
-	}
 	// The demand closure is only invoked inside this call, under mu.
-	return metrics.MultiFragmentationRates(r.tree, func(id string) (timeseries.Series, bool) {
-		tr, ok := traces[id]
-		return tr, ok
-	}, r.placementCfg().Demands)
+	return metrics.MultiFragmentationRates(r.tree, workload.SubPowerFn(r.traceView()), r.placementCfg().Demands)
 }

@@ -45,13 +45,15 @@ var (
 	obsOnlineDrops = obs.Default().Counter("smoothop_runtime_online_drops_total",
 		"Cached admission views dropped wholesale (resync failed or a remapped leaf vanished).")
 
-	// Fragmentation-gauge refresh path: full rebuilds re-aggregate the whole
-	// tree (Bootstrap, Tick, view changes), delta refreshes fold in only the
-	// leaves an admission or retirement touched.
+	// Fragmentation-gauge refresh path: full refreshes aggregate the whole
+	// tree once (Bootstrap, Tick, a retirement with no admission view, a new
+	// admission view); delta refreshes read the admission view's maintained
+	// snapshot, which folds in only the leaf an admission or retirement
+	// touched.
 	obsFragFullRefreshes = obs.Default().Counter("smoothop_runtime_frag_full_refreshes_total",
-		"Fragmentation gauge refreshes that re-aggregated the full tree.")
+		"Fragmentation gauge refreshes that aggregated the full tree.")
 	obsFragDeltaRefreshes = obs.Default().Counter("smoothop_runtime_frag_delta_refreshes_total",
-		"Fragmentation gauge refreshes served by the incremental delta aggregator.")
+		"Fragmentation gauge refreshes read from the admission view's maintained snapshot.")
 
 	// Per-level power-fragmentation gauges (the obs registry has no labels,
 	// so each tier gets its own series). Refreshed at Bootstrap, Tick and

@@ -31,11 +31,7 @@ func (r *Runtime) PlanSnapshot() (*plan.Snapshot, error) {
 	if r.planSnap != nil {
 		return r.planSnap, nil
 	}
-	traces := r.onlineTraces
-	if traces == nil {
-		traces = r.traces
-	}
-	snap, err := plan.NewSnapshot(r.tree, traces, r.services, r.evalAsOf, r.store.Step())
+	snap, err := plan.NewSnapshot(r.tree, r.traceView(), r.services, r.evalAsOf, r.store.Step())
 	if err != nil {
 		return nil, fmt.Errorf("core: plan snapshot: %w", err)
 	}

@@ -66,8 +66,9 @@ type Runtime struct {
 	// guardedby analyzer (see internal/analysis).
 	mu sync.Mutex
 
-	// services maps instance → service, learned at Bootstrap; it names the
-	// reference-trace pool a quarantined instance falls back to.
+	// services maps each resident instance → service, learned at Bootstrap
+	// and admission and dropped at retirement; it names the reference-trace
+	// pool a quarantined instance falls back to.
 	services map[string]string //smoothop:guardedby mu
 	// demands is the runtime's resource-demand ledger: the validated demand
 	// vector of every placed instance that declared one (at Bootstrap or
@@ -75,7 +76,8 @@ type Runtime struct {
 	// re-learn demands through placementCfg's resolver. The map is allocated
 	// once and mutated in place — placementCfg's closure captures it.
 	demands map[string]powertree.ResourceVector //smoothop:guardedby mu
-	// quality and quarantined reflect the most recent Bootstrap or Tick.
+	// quality and quarantined reflect the most recent Bootstrap or Tick,
+	// plus later admissions; retirements drop their entries.
 	quality     map[string]tracestore.Quality //smoothop:guardedby mu
 	quarantined []string                      //smoothop:guardedby mu
 	// emergency tracks nodes currently under an emergency cap; lastTrips is
@@ -94,23 +96,17 @@ type Runtime struct {
 	// kept for fragmentation reporting between admissions.
 	traces map[string]timeseries.Series //smoothop:guardedby mu
 	// online is the lazily-built admission view over the live tree; nil
-	// until the first AdmitInstance and invalidated by Tick (remapping moves
-	// instances). onlineTraces/refPool/refAll are its trace view and the
-	// healthy reference pools; onlineAsOf/onlineWeeks key the cache.
-	online       *placement.Online              //smoothop:guardedby mu
-	onlineTraces map[string]timeseries.Series   //smoothop:guardedby mu
-	refPool      map[string][]timeseries.Series //smoothop:guardedby mu
-	refAll       []timeseries.Series            //smoothop:guardedby mu
-	onlineAsOf   time.Time                      //smoothop:guardedby mu
-	onlineWeeks  int                            //smoothop:guardedby mu
-
-	// fragAgg carries the fragmentation-gauge aggregation forward
-	// incrementally: admissions and retirements mark only the touched leaf
-	// dirty instead of re-aggregating the whole tree. fragViewOnline records
-	// which trace view (admission view vs Bootstrap/Tick traces) the
-	// aggregator's PowerFn captured, so a view switch forces a rebuild.
-	fragAgg        *powertree.Aggregator //smoothop:guardedby mu
-	fragViewOnline bool                  //smoothop:guardedby mu
+	// until the first AdmitInstance. Its Snapshot is the one maintained
+	// per-node aggregate the fragmentation gauges read between ticks.
+	// onlineTraces is its trace view; onlineFilled marks the residents whose
+	// view trace is a reference fill (quarantined in the view's window), so
+	// reference means are drawn from the others only. onlineAsOf/onlineWeeks
+	// key the cache.
+	online       *placement.Online            //smoothop:guardedby mu
+	onlineTraces map[string]timeseries.Series //smoothop:guardedby mu
+	onlineFilled map[string]bool              //smoothop:guardedby mu
+	onlineAsOf   time.Time                    //smoothop:guardedby mu
+	onlineWeeks  int                          //smoothop:guardedby mu
 
 	// planSnap is the cached what-if planning snapshot, shared by concurrent
 	// /v1/plan queries between placement mutations (see plan.go).
@@ -298,8 +294,9 @@ func (r *Runtime) History() []*DriftReport {
 	return append([]*DriftReport(nil), r.history...)
 }
 
-// Quarantined returns the instances the latest Bootstrap or Tick scored
-// from reference traces instead of their own telemetry, sorted.
+// Quarantined returns the resident instances the latest Bootstrap or Tick
+// (or a later admission) scored from reference traces instead of their own
+// telemetry.
 func (r *Runtime) Quarantined() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -356,33 +353,17 @@ func (r *Runtime) Bootstrap(instances []placement.Instance, asOf time.Time, trai
 			r.demands[inst.ID] = inst.Demands.Clone()
 		}
 	}
-	avg := make(map[string]timeseries.Series, len(instances))
-	quality := make(map[string]tracestore.Quality, len(instances))
-	var quarantined []string
-	byService := make(map[string][]timeseries.Series)
-	var healthy []timeseries.Series
-	for _, inst := range instances {
-		tr, q, err := r.store.AveragedITraceQuality(inst.ID, asOf, trainWeeks)
-		if errors.Is(err, tracestore.ErrUnknownInstance) {
-			// Never reported at all (e.g. a whole-window dropout): treat as
-			// an empty window rather than failing the placement.
-			q, err = tracestore.Quality{Grade: tracestore.GradeNoData}, nil
-		}
-		if err != nil {
-			return fmt.Errorf("core: bootstrap trace for %q: %w", inst.ID, err)
-		}
-		quality[inst.ID] = q
-		if q.Grade == tracestore.GradeNoData || q.Coverage < r.minCoverage {
-			quarantined = append(quarantined, inst.ID)
-			continue
-		}
-		avg[inst.ID] = tr
-		byService[inst.Service] = append(byService[inst.Service], tr)
-		healthy = append(healthy, tr)
+	ids := make([]string, len(instances))
+	for i, inst := range instances {
+		ids[i] = inst.ID
 	}
-	if err := r.fillReferences(avg, quarantined, byService, healthy); err != nil {
+	view, err := r.gradeView(ids, func(id string) (timeseries.Series, tracestore.Quality, error) {
+		return r.residentTrace(id, asOf, trainWeeks)
+	})
+	if err != nil {
 		return fmt.Errorf("core: bootstrap: %w", err)
 	}
+	avg := view.traces
 	placer := placement.WorkloadAware{
 		TopServices:      r.fw.cfg.topServices(),
 		ClustersPerChild: r.fw.cfg.ClustersPerChild,
@@ -395,11 +376,11 @@ func (r *Runtime) Bootstrap(instances []placement.Instance, asOf time.Time, trai
 	if err := placer.Place(r.tree, instances, lookup); err != nil {
 		return fmt.Errorf("core: bootstrap placement: %w", err)
 	}
-	r.quality = quality
-	r.quarantined = quarantined
+	r.quality = view.quality
+	r.quarantined = view.quarantined
 	r.traces = avg
-	r.rebuildFragView(avg, false)
-	obsQuarantined.Set(float64(len(quarantined)))
+	r.refreshFragGauges(avg)
+	obsQuarantined.Set(float64(len(view.quarantined)))
 	if r.faults != nil {
 		capper, err := capping.New(r.tree, capping.Config{SustainSteps: 1})
 		if err != nil {
@@ -413,25 +394,71 @@ func (r *Runtime) Bootstrap(instances []placement.Instance, asOf time.Time, trai
 	return nil
 }
 
-// fillReferences gives every quarantined instance a reference trace: the
-// mean of its service's healthy peers, falling back to the fleet-wide mean
-// when the whole service is dark. No healthy trace anywhere is
+// gradedView is one scoring view of a set of instances: every instance's
+// trace — its own when healthy, a reference fill when quarantined — and
+// grade, plus the quarantined instances in input order.
+type gradedView struct {
+	traces      map[string]timeseries.Series
+	quality     map[string]tracestore.Quality
+	quarantined []string
+}
+
+// gradeView reads every instance's trace through read and grades it.
+// Instances below the quarantine floor are filled with a reference trace:
+// the mean of their service's healthy peers, falling back to the fleet-wide
+// mean when the whole service is dark. No healthy trace anywhere is
 // ErrAllQuarantined.
 //
 // smoothop:locked mu
-func (r *Runtime) fillReferences(dst map[string]timeseries.Series, quarantined []string, byService map[string][]timeseries.Series, healthy []timeseries.Series) error {
-	for _, id := range quarantined {
-		ref, ok := meanSeries(byService[r.services[id]])
-		if !ok {
-			ref, ok = meanSeries(healthy)
-		}
-		if !ok {
-			return ErrAllQuarantined
-		}
-		dst[id] = ref
-		obsFallbackTraces.Inc()
+func (r *Runtime) gradeView(ids []string, read func(id string) (timeseries.Series, tracestore.Quality, error)) (gradedView, error) {
+	v := gradedView{
+		traces:  make(map[string]timeseries.Series, len(ids)),
+		quality: make(map[string]tracestore.Quality, len(ids)),
 	}
-	return nil
+	byService := make(map[string][]timeseries.Series)
+	var healthy []timeseries.Series
+	for _, id := range ids {
+		tr, q, err := read(id)
+		if err != nil {
+			return gradedView{}, fmt.Errorf("trace for %q: %w", id, err)
+		}
+		v.quality[id] = q
+		if r.belowFloor(q) {
+			v.quarantined = append(v.quarantined, id)
+			continue
+		}
+		v.traces[id] = tr
+		byService[r.services[id]] = append(byService[r.services[id]], tr)
+		healthy = append(healthy, tr)
+	}
+	for _, id := range v.quarantined {
+		ref, err := referenceTrace(byService[r.services[id]], healthy)
+		if err != nil {
+			return gradedView{}, err
+		}
+		v.traces[id] = ref
+	}
+	return v, nil
+}
+
+// referenceTrace is a quarantined instance's stand-in trace: the mean of its
+// service's healthy traces, else the fleet-wide healthy mean.
+func referenceTrace(service, fleet []timeseries.Series) (timeseries.Series, error) {
+	ref, ok := meanSeries(service)
+	if !ok {
+		ref, ok = meanSeries(fleet)
+	}
+	if !ok {
+		return timeseries.Series{}, ErrAllQuarantined
+	}
+	obsFallbackTraces.Inc()
+	return ref, nil
+}
+
+// belowFloor reports whether a trace grade falls below the quarantine floor,
+// so the instance is scored from a reference trace instead of its own.
+func (r *Runtime) belowFloor(q tracestore.Quality) bool {
+	return q.Grade == tracestore.GradeNoData || q.Coverage < r.minCoverage
 }
 
 // despike rejects single-slot impulses from a materialised trace: a sample
@@ -504,37 +531,22 @@ func (r *Runtime) Tick(asOf time.Time, window time.Duration) (*DriftReport, erro
 		window = 7 * 24 * time.Hour
 	}
 	from := asOf.Add(-window)
-	fresh := make(map[string]timeseries.Series)
-	quality := make(map[string]tracestore.Quality)
-	var quarantined []string
-	byService := make(map[string][]timeseries.Series)
-	var healthy []timeseries.Series
-	for _, id := range r.tree.AllInstances() {
+	view, err := r.gradeView(r.tree.AllInstances(), func(id string) (timeseries.Series, tracestore.Quality, error) {
 		tr, q, err := r.store.SnapshotQuality(id, from, asOf)
-		if err != nil {
-			return nil, fmt.Errorf("core: tick snapshot for %q: %w", id, err)
-		}
-		quality[id] = q
-		if q.Grade == tracestore.GradeNoData || q.Coverage < r.minCoverage {
-			quarantined = append(quarantined, id)
-			continue
-		}
-		tr = despike(tr)
-		fresh[id] = tr
-		byService[r.services[id]] = append(byService[r.services[id]], tr)
-		healthy = append(healthy, tr)
-	}
-	if err := r.fillReferences(fresh, quarantined, byService, healthy); err != nil {
+		return despike(tr), q, err
+	})
+	if err != nil {
 		return nil, fmt.Errorf("core: tick: %w", err)
 	}
+	fresh := view.traces
 	rep, err := r.fw.AdaptWithPolicy(r.tree, fresh, r.scoreFloor, r.maxSwaps, r.placementCfg())
 	if err != nil {
 		return nil, err
 	}
-	rep.Quarantined = quarantined
-	r.quality = quality
-	r.quarantined = quarantined
-	obsQuarantined.Set(float64(len(quarantined)))
+	rep.Quarantined = view.quarantined
+	r.quality = view.quality
+	r.quarantined = view.quarantined
+	obsQuarantined.Set(float64(len(view.quarantined)))
 	// The remap may have moved instances between leaves. Instead of dropping
 	// the cached admission view wholesale, resync only the swapped leaves
 	// (no swaps means the placement is untouched and the view stays valid
@@ -542,7 +554,7 @@ func (r *Runtime) Tick(asOf time.Time, window time.Duration) (*DriftReport, erro
 	r.retargetOnline(rep.Swaps)
 	r.traces = fresh
 	r.evalAsOf = asOf
-	r.rebuildFragView(fresh, false)
+	r.refreshFragGauges(fresh)
 	r.invalidatePlanSnapshot()
 
 	if err := r.emergencyStep(rep, from, asOf, fresh); err != nil {
@@ -604,6 +616,7 @@ func (r *Runtime) retargetOnline(swaps []placement.Swap) {
 func (r *Runtime) dropOnline() {
 	r.online = nil
 	r.onlineTraces = nil
+	r.onlineFilled = nil
 	obsOnlineDrops.Inc()
 }
 

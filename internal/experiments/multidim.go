@@ -199,14 +199,12 @@ func MultiDimSweep(name workload.DCName, opt Options) ([]MultiDimRow, error) {
 				row.Admitted++
 			}
 		}
-		row.SumLeafPeaks, err = tree.SumOfPeaksParallel(powertree.RPP, powertree.PowerFn(traceFn), 1)
-		if err != nil {
-			return MultiDimRow{}, err
-		}
+		snap := o.Snapshot()
+		row.SumLeafPeaks = snap.SumOfPeaks(powertree.RPP)
 		// The probe is a half-demand arrival: it fits any leaf hosting at
 		// most one gpu user, so the only leaves it exposes as stranded are
 		// the gpu-overcommitted ones — plenty of power headroom, no gpu.
-		row.StrandedNodes, err = metrics.StrandedNodeCount(tree, powertree.PowerFn(traceFn), demandFn,
+		row.StrandedNodes, err = metrics.StrandedNodeCount(snap, demandFn,
 			powertree.RPP, 0, powertree.ResourceVector{"gpu": gpuProbe})
 		if err != nil {
 			return MultiDimRow{}, err

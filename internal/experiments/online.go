@@ -141,7 +141,7 @@ func FragSweep(name workload.DCName, opt Options, loads []int) ([]FragRow, error
 			next               int
 		)
 		sample := func(pct int) error {
-			fr, err := metrics.FragmentationRates(tree, powertree.PowerFn(traceFn))
+			fr, err := metrics.FragmentationRatesFrom(tree, o.Snapshot())
 			if err != nil {
 				return err
 			}

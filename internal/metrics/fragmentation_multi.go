@@ -40,7 +40,7 @@ func MultiFragmentationRates(tree *powertree.Node, traces powertree.PowerFn, dem
 	if len(dims) == 0 {
 		return rows, nil
 	}
-	used, err := usedCapacities(tree, demands)
+	used, err := subtreeDemands(tree, demands)
 	if err != nil {
 		return nil, err
 	}
@@ -64,43 +64,23 @@ func treeDimensions(tree *powertree.Node) []string {
 	return sum.Dimensions()
 }
 
-// usedCapacities sums every node's subtree demand bottom-up, validating
-// each placed instance's demand vector once. A nil resolver yields an empty
-// map (all-zero usage).
-func usedCapacities(tree *powertree.Node, demands func(id string) (powertree.ResourceVector, bool)) (map[*powertree.Node]powertree.ResourceVector, error) {
-	used := make(map[*powertree.Node]powertree.ResourceVector)
+// subtreeDemands sums every node's subtree demand through the resolver,
+// validating each placed instance's demand vector. A nil resolver yields an
+// empty map (all-zero usage).
+func subtreeDemands(tree *powertree.Node, demands func(id string) (powertree.ResourceVector, bool)) (map[*powertree.Node]powertree.ResourceVector, error) {
 	if demands == nil {
-		return used, nil
+		return map[*powertree.Node]powertree.ResourceVector{}, nil
 	}
-	var sum func(n *powertree.Node) (powertree.ResourceVector, error)
-	sum = func(n *powertree.Node) (powertree.ResourceVector, error) {
-		var u powertree.ResourceVector
-		for _, id := range n.Instances {
-			d, ok := demands(id)
-			if !ok || len(d) == 0 {
-				continue
-			}
-			if err := d.Validate(); err != nil {
-				return nil, fmt.Errorf("metrics: demand for instance %q: %w", id, err)
-			}
-			u = u.AddInPlace(d)
+	return powertree.SubtreeDemands(tree, func(id string) (powertree.ResourceVector, error) {
+		d, ok := demands(id)
+		if !ok || len(d) == 0 {
+			return nil, nil
 		}
-		for _, c := range n.Children {
-			cu, err := sum(c)
-			if err != nil {
-				return nil, err
-			}
-			u = u.AddInPlace(cu)
+		if err := d.Validate(); err != nil {
+			return nil, fmt.Errorf("metrics: demand for instance %q: %w", id, err)
 		}
-		if u != nil {
-			used[n] = u
-		}
-		return u, nil
-	}
-	if _, err := sum(tree); err != nil {
-		return nil, err
-	}
-	return used, nil
+		return d, nil
+	})
 }
 
 // dimensionRows builds the per-level rows for one capacity dimension.
@@ -167,33 +147,24 @@ func dimensionRows(tree *powertree.Node, dim string, used map[*powertree.Node]po
 // one dimension (power included) yet cannot admit one probe instance of the
 // given demand because some other dimension (or an ancestor) is exhausted.
 // It is the node-granularity companion to the rate rows — the quantity the
-// multi-dimension experiment drives down — computed against a probe of
-// probePower watts and probeDemand (nil means power-only probing).
-func StrandedNodeCount(tree *powertree.Node, traces powertree.PowerFn, demands func(id string) (powertree.ResourceVector, bool), level powertree.Level, probePower float64, probeDemand powertree.ResourceVector) (int, error) {
-	aggs, err := tree.AggregateAll(traces)
-	if err != nil {
-		return 0, fmt.Errorf("metrics: aggregating for stranded nodes: %w", err)
-	}
-	used, err := usedCapacities(tree, demands)
+// multi-dimension experiment drives down — computed from an aggregation
+// snapshot of the tree against a probe of probePower watts and probeDemand
+// (nil means power-only probing).
+func StrandedNodeCount(aggs *powertree.Aggregates, demands func(id string) (powertree.ResourceVector, bool), level powertree.Level, probePower float64, probeDemand powertree.ResourceVector) (int, error) {
+	used, err := subtreeDemands(aggs.Root(), demands)
 	if err != nil {
 		return 0, err
 	}
 	fits := func(n *powertree.Node) bool {
 		for m := n; m != nil; m = m.Parent() {
-			if aggs.Peak(m)+probePower > m.Budget {
+			if aggs.Peak(m)+probePower > m.Budget || !m.CapacityFits(used[m], probeDemand, nil) {
 				return false
-			}
-			for _, dim := range probeDemand.Dimensions() {
-				limit, ok := m.Capacities[dim]
-				if ok && used[m].Get(dim)+probeDemand[dim] > limit {
-					return false
-				}
 			}
 		}
 		return true
 	}
 	count := 0
-	for _, n := range tree.NodesAtLevel(level) {
+	for _, n := range aggs.NodesAtLevel(level) {
 		headroom := n.Budget-aggs.Peak(n) > 0
 		for _, dim := range n.Capacities.Dimensions() {
 			if n.Capacities[dim]-used[n].Get(dim) > 0 {

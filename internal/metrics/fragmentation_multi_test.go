@@ -189,9 +189,13 @@ func TestStrandedNodeCount(t *testing.T) {
 	if err := leaves[1].Attach("b"); err != nil {
 		t.Fatal(err)
 	}
+	aggs, err := tree.AggregateAll(fragLookup(traces))
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Probe: a modest instance needing 1 net. Leaves 0 and 1 have plenty of
 	// power headroom but zero free net → stranded. Leaves 2 and 3 admit it.
-	n, err := StrandedNodeCount(tree, fragLookup(traces), demandTable(demands),
+	n, err := StrandedNodeCount(aggs, demandTable(demands),
 		powertree.RPP, 5, powertree.ResourceVector{"net": 1})
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +204,7 @@ func TestStrandedNodeCount(t *testing.T) {
 		t.Fatalf("stranded leaves = %d, want 2", n)
 	}
 	// A power-only probe sees no stranding (all leaves have power headroom).
-	n, err = StrandedNodeCount(tree, fragLookup(traces), demandTable(demands),
+	n, err = StrandedNodeCount(aggs, demandTable(demands),
 		powertree.RPP, 5, nil)
 	if err != nil {
 		t.Fatal(err)

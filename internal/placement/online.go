@@ -72,24 +72,24 @@ type OnlinePlacer interface {
 }
 
 // Online is the concrete OnlinePlacer. It snapshots the tree's current
-// residents at construction and then maintains per-leaf resident trace sets
-// and per-node aggregate traces incrementally: an admission adds one trace
-// to the leaf's set and to the aggregates along the leaf's root path, a
-// retirement rebuilds only that same path. No full-tree re-aggregation ever
-// happens after construction.
+// residents at construction and keeps every node's aggregate power trace in
+// a powertree.Aggregator over its TraceFn: an admission or retirement
+// attaches or detaches one instance, marks its leaf dirty and lets the
+// Aggregator re-fold that leaf and re-combine its root path. No full-tree
+// re-aggregation ever happens after construction, and every aggregate is
+// bit-identical to a fresh AggregateAll of the same tree.
 type Online struct {
 	tree    *powertree.Node
 	traces  TraceFn
 	policy  OnlinePolicy
 	demands DemandFn
 
-	// agg is every node's aggregate power trace (Empty when the subtree
-	// hosts no instances).
-	agg map[*powertree.Node]timeseries.Series
+	// agg maintains every node's aggregate power trace.
+	agg *powertree.Aggregator
 	// demandOf records each known instance's resolved demand vector (absent
-	// = power-only); used accumulates the demands of each node's subtree
-	// residents — the capacity-dimension analogue of agg. Both stay empty on
-	// power-only trees, keeping that path allocation-identical to before.
+	// = power-only); used holds each node's subtree demand
+	// (powertree.SubtreeDemands), the capacity-dimension analogue of the
+	// aggregates. Both stay empty on power-only trees.
 	demandOf map[string]powertree.ResourceVector
 	used     map[*powertree.Node]powertree.ResourceVector
 	// residents holds per-leaf traces parallel to leaf.Instances;
@@ -99,9 +99,7 @@ type Online struct {
 	residents   map[*powertree.Node][]timeseries.Series
 	residentIDs map[*powertree.Node][]string
 	// leafOf locates every admitted instance's hosting leaf.
-	leafOf  map[string]*powertree.Node
-	leaves  []*powertree.Node
-	leafSet map[*powertree.Node]bool
+	leafOf map[string]*powertree.Node
 }
 
 // NewOnline wraps a live (possibly already populated) tree for online
@@ -139,22 +137,22 @@ func newOnline(tree *powertree.Node, traces TraceFn, policy Policy, demands Dema
 		traces:      traces,
 		policy:      policy,
 		demands:     demands,
-		agg:         make(map[*powertree.Node]timeseries.Series),
 		demandOf:    make(map[string]powertree.ResourceVector),
-		used:        make(map[*powertree.Node]powertree.ResourceVector),
 		residents:   make(map[*powertree.Node][]timeseries.Series, len(leaves)),
 		residentIDs: make(map[*powertree.Node][]string, len(leaves)),
 		leafOf:      make(map[string]*powertree.Node),
-		leaves:      leaves,
-		leafSet:     make(map[*powertree.Node]bool, len(leaves)),
 	}
 	for _, leaf := range leaves {
-		o.leafSet[leaf] = true
 		if err := o.snapshotLeaf(leaf); err != nil {
 			return nil, err
 		}
 	}
-	if err := o.rebuildAll(); err != nil {
+	agg, err := powertree.NewAggregator(tree, powertree.PowerFn(traces))
+	if err != nil {
+		return nil, fmt.Errorf("placement: aggregating the live tree: %w", err)
+	}
+	o.agg = agg
+	if o.used, err = powertree.SubtreeDemands(tree, o.demandFor); err != nil {
 		return nil, err
 	}
 	return o, nil
@@ -163,10 +161,18 @@ func newOnline(tree *powertree.Node, traces TraceFn, policy Policy, demands Dema
 // Tree returns the live tree the placer operates on.
 func (o *Online) Tree() *powertree.Node { return o.tree }
 
+// Snapshot returns the placer's current per-node aggregates: immutable,
+// safe to keep after further admissions, and bit-identical to a fresh
+// AggregateAll of the live tree over the placer's TraceFn.
+func (o *Online) Snapshot() *powertree.Aggregates { return o.agg.Snapshot() }
+
 // Aggregate returns the node's current aggregate power trace (Empty when
 // the subtree hosts no instances). The series is owned by the placer and
 // must not be mutated.
-func (o *Online) Aggregate(n *powertree.Node) timeseries.Series { return o.agg[n] }
+func (o *Online) Aggregate(n *powertree.Node) timeseries.Series {
+	tr, _ := o.agg.Snapshot().Trace(n)
+	return tr
+}
 
 // Leaf reports which leaf hosts an admitted (or pre-existing) instance.
 func (o *Online) Leaf(id string) (*powertree.Node, bool) {
@@ -186,6 +192,12 @@ func (o *Online) Used(n *powertree.Node) powertree.ResourceVector { return o.use
 func (o *Online) Demand(id string) (powertree.ResourceVector, bool) {
 	d, ok := o.demandOf[id]
 	return d, ok
+}
+
+// demandFor resolves an instance to the demand on record, for
+// powertree.SubtreeDemands and RefreshDemand.
+func (o *Online) demandFor(id string) (powertree.ResourceVector, error) {
+	return o.demandOf[id], nil
 }
 
 // resolveDemand resolves an instance's demand vector — the inline vector
@@ -237,26 +249,47 @@ func (o *Online) snapshotLeaf(leaf *powertree.Node) error {
 	return nil
 }
 
+// refresh folds churn on the given leaves into the aggregates and the
+// subtree demands along their root paths. Shared ancestors are refreshed
+// more than once; RefreshDemand is idempotent so the extra passes only cost
+// time, and power-only placers skip the demand half entirely.
+func (o *Online) refresh(leaves ...*powertree.Node) error {
+	if err := o.agg.MarkDirty(leaves...); err != nil {
+		return err
+	}
+	if _, err := o.agg.Update(); err != nil {
+		return fmt.Errorf("placement: updating aggregates: %w", err)
+	}
+	if len(o.demandOf) == 0 && len(o.used) == 0 {
+		return nil
+	}
+	for _, leaf := range leaves {
+		for n := leaf; n != nil; n = n.Parent() {
+			if err := powertree.RefreshDemand(o.used, n, o.demandFor); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // Resync reconciles the placer's state with the live tree for the given
 // leaves after an external mutation moved instances among them (typically a
 // Remap tick swapping residents between RPPs). Only the named leaves and
 // their root paths are touched: residents are re-snapshotted from
-// leaf.Instances and the path aggregates rebuilt, so a k-leaf resync costs
-// O(k·(instances-per-leaf + depth)·len) instead of a full reconstruction.
+// leaf.Instances and the leaves marked dirty in the Aggregator, so a k-leaf
+// resync costs O(k·(instances-per-leaf + depth)·len) instead of a full
+// reconstruction.
 //
 // The caller must name every leaf whose instance set changed; missing one
 // leaves that leaf's aggregates stale. On error (unknown resident trace,
 // foreign node) the placer's state may be partially updated and the placer
 // should be discarded and rebuilt.
 func (o *Online) Resync(leaves ...*powertree.Node) error {
-	for _, leaf := range leaves {
-		if leaf == nil || !o.leafSet[leaf] {
-			name := "<nil>"
-			if leaf != nil {
-				name = leaf.Name
-			}
-			return fmt.Errorf("placement: resync target %q is not a leaf of the placer's tree", name)
-		}
+	// Marking validates every target (nil, interior and foreign nodes are
+	// rejected) before any state changes.
+	if err := o.agg.MarkDirty(leaves...); err != nil {
+		return fmt.Errorf("placement: resync: %w", err)
 	}
 	// Phase 1: forget every instance the placer had recorded on the resynced
 	// leaves. All removals happen before any re-snapshot so an instance
@@ -274,82 +307,11 @@ func (o *Online) Resync(leaves ...*powertree.Node) error {
 			return err
 		}
 	}
-	// Phase 3: rebuild the aggregates along each root path. Shared ancestors
-	// are rebuilt more than once; rebuildNode is idempotent so the extra
-	// passes only cost time.
-	for _, leaf := range leaves {
-		for n := leaf; n != nil; n = n.Parent() {
-			if err := o.rebuildNode(n); err != nil {
-				return err
-			}
-		}
+	if err := o.refresh(leaves...); err != nil {
+		return err
 	}
 	obsResyncs.Inc()
 	obsResyncLeaves.Add(uint64(len(leaves)))
-	return nil
-}
-
-// rebuildAll recomputes every node's aggregate bottom-up from the resident
-// trace sets (construction and full-invalidation path).
-func (o *Online) rebuildAll() error {
-	var build func(n *powertree.Node) error
-	build = func(n *powertree.Node) error {
-		for _, c := range n.Children {
-			if err := build(c); err != nil {
-				return err
-			}
-		}
-		return o.rebuildNode(n)
-	}
-	return build(o.tree)
-}
-
-// rebuildNode recomputes one node's aggregate trace and used-capacity
-// vector from its own residents (leaf) or its children's (interior), which
-// must already be current.
-func (o *Online) rebuildNode(n *powertree.Node) error {
-	var used powertree.ResourceVector
-	if n.IsLeaf() {
-		for _, id := range o.residentIDs[n] {
-			used = used.AddInPlace(o.demandOf[id])
-		}
-	} else {
-		for _, c := range n.Children {
-			used = used.AddInPlace(o.used[c])
-		}
-	}
-	if used == nil {
-		delete(o.used, n)
-	} else {
-		o.used[n] = used
-	}
-	var agg timeseries.Series
-	started := false
-	fold := func(tr timeseries.Series) error {
-		if tr.Empty() {
-			return nil
-		}
-		if !started {
-			agg = tr.Clone()
-			started = true
-			return nil
-		}
-		return agg.AddInPlace(tr)
-	}
-	if n.IsLeaf() {
-		for _, tr := range o.residents[n] {
-			if err := fold(tr); err != nil {
-				return fmt.Errorf("placement: aggregating leaf %q: %w", n.Name, err)
-			}
-		}
-	} else {
-		for _, c := range n.Children {
-			if err := fold(o.agg[c]); err != nil {
-				return fmt.Errorf("placement: aggregating node %q: %w", n.Name, err)
-			}
-		}
-	}
-	o.agg[n] = agg
 	return nil
 }
 
@@ -371,24 +333,6 @@ func peakWith(agg, tr timeseries.Series) (float64, error) {
 	return peak, nil
 }
 
-// fitsCapacities reports whether admitting demand keeps every capacity
-// dimension the node declares within bounds. Dimensions the node does not
-// declare are unconstrained there (partial declarations are allowed), and a
-// nil demand always fits.
-func (o *Online) fitsCapacities(n *powertree.Node, demand powertree.ResourceVector) bool {
-	if len(demand) == 0 || len(n.Capacities) == 0 {
-		return true
-	}
-	used := o.used[n]
-	for _, dim := range demand.Dimensions() {
-		limit, ok := n.Capacities[dim]
-		if ok && used.Get(dim)+demand[dim] > limit {
-			return false
-		}
-	}
-	return true
-}
-
 // residualFractions builds a candidate leaf's post-admission residual
 // vector: power headroom fraction first, then free/capacity for each
 // declared capacity dimension in sorted order. Zero-capacity dimensions
@@ -406,7 +350,7 @@ func (o *Online) residualFractions(leaf *powertree.Node, headroom float64, deman
 		if limit > 0 {
 			free := limit - used.Get(dim) - demand.Get(dim)
 			if free < 0 {
-				free = 0 // float residue; fitsCapacities already gated
+				free = 0 // float residue; CapacityFits already gated
 			}
 			frac = free / limit
 		}
@@ -421,17 +365,19 @@ func (o *Online) residualFractions(leaf *powertree.Node, headroom float64, deman
 // node that cannot absorb the instance. Candidates come back in tree (leaf)
 // order.
 func (o *Online) feasibleLeaves(tr timeseries.Series, demand powertree.ResourceVector) ([]OnlineCandidate, error) {
+	snap := o.agg.Snapshot()
 	var cands []OnlineCandidate
 	var walk func(n *powertree.Node) error
 	walk = func(n *powertree.Node) error {
-		post, err := peakWith(o.agg[n], tr)
+		agg, _ := snap.Trace(n)
+		post, err := peakWith(agg, tr)
 		if err != nil {
 			return err
 		}
 		if post > n.Budget {
 			return nil // this node's breaker would trip; nothing below fits
 		}
-		if !o.fitsCapacities(n, demand) {
+		if !n.CapacityFits(o.used[n], demand, nil) {
 			return nil // a declared capacity dimension would overflow
 		}
 		if n.IsLeaf() {
@@ -494,31 +440,18 @@ func (o *Online) Admit(inst Instance) (*powertree.Node, error) {
 	o.residents[leaf] = append(o.residents[leaf], tr)
 	o.residentIDs[leaf] = append(o.residentIDs[leaf], inst.ID)
 	o.leafOf[inst.ID] = leaf
-	// Fold the new trace (and demand) into the aggregates along the leaf's
-	// root path.
-	for n := leaf; n != nil; n = n.Parent() {
-		agg := o.agg[n]
-		if agg.Empty() {
-			o.agg[n] = tr.Clone()
-			continue
-		}
-		if err := agg.AddInPlace(tr); err != nil {
-			return nil, fmt.Errorf("placement: updating aggregate at %q: %w", n.Name, err)
-		}
-		o.agg[n] = agg
-	}
 	if demand != nil {
 		o.demandOf[inst.ID] = demand
-		for n := leaf; n != nil; n = n.Parent() {
-			o.used[n] = o.used[n].AddInPlace(demand)
-		}
+	}
+	if err := o.refresh(leaf); err != nil {
+		return nil, err
 	}
 	obsAdmissions.Inc()
 	return leaf, nil
 }
 
-// Retire implements OnlinePlacer: it detaches the instance and rebuilds the
-// aggregates along its leaf's root path only.
+// Retire implements OnlinePlacer: it detaches the instance and refreshes
+// its leaf's root path only.
 func (o *Online) Retire(id string) (*powertree.Node, error) {
 	leaf, ok := o.leafOf[id]
 	if !ok {
@@ -540,10 +473,8 @@ func (o *Online) Retire(id string) (*powertree.Node, error) {
 	o.residentIDs[leaf] = append(ids[:idx:idx], ids[idx+1:]...)
 	delete(o.leafOf, id)
 	delete(o.demandOf, id)
-	for n := leaf; n != nil; n = n.Parent() {
-		if err := o.rebuildNode(n); err != nil {
-			return nil, err
-		}
+	if err := o.refresh(leaf); err != nil {
+		return nil, err
 	}
 	obsRetirements.Inc()
 	return leaf, nil

@@ -3,9 +3,11 @@ package placement
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/parallel"
 	"repro/internal/powertree"
 	"repro/internal/timeseries"
 )
@@ -340,4 +342,103 @@ func TestOnlineResync(t *testing.T) {
 	if err := o.Resync(nil); err == nil {
 		t.Fatal("resync accepted nil")
 	}
+}
+
+// TestOnlineSnapshotBitIdentical: after a seeded interleaving of
+// admissions, retirements and external swaps absorbed by Resync, the
+// placer's maintained aggregates must equal a fresh AggregateAll bit for bit
+// on every node, at any worker count.
+func TestOnlineSnapshotBitIdentical(t *testing.T) {
+	for _, workers := range []string{"1", "8"} {
+		t.Run("workers="+workers, func(t *testing.T) {
+			t.Setenv(parallel.EnvWorkers, workers)
+			instances, traces, tree := testFixture(t)
+			o, err := NewOnline(tree, traces, PolicyConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(17))
+			pending := append([]Instance(nil), instances...)
+			var live []Instance
+			for step := 0; step < 300; step++ {
+				if len(pending) > 0 && (len(live) == 0 || rng.Intn(3) > 0) {
+					i := rng.Intn(len(pending))
+					inst := pending[i]
+					pending = append(pending[:i], pending[i+1:]...)
+					if _, err := o.Admit(inst); err != nil {
+						t.Fatalf("step %d: admit %q: %v", step, inst.ID, err)
+					}
+					live = append(live, inst)
+				} else {
+					i := rng.Intn(len(live))
+					inst := live[i]
+					live = append(live[:i], live[i+1:]...)
+					if _, err := o.Retire(inst.ID); err != nil {
+						t.Fatalf("step %d: retire %q: %v", step, inst.ID, err)
+					}
+					pending = append(pending, inst)
+				}
+				if step%20 == 19 {
+					swapAndResync(t, o, tree, rng)
+				}
+				assertSnapshotMatchesFresh(t, o, tree, traces, step)
+			}
+		})
+	}
+}
+
+// swapAndResync exchanges the first residents of two random occupied leaves
+// behind the placer's back, the way a Remap tick does, then resyncs them.
+func swapAndResync(t *testing.T, o *Online, tree *powertree.Node, rng *rand.Rand) {
+	t.Helper()
+	var occupied []*powertree.Node
+	for _, leaf := range tree.Leaves() {
+		if len(leaf.Instances) > 0 {
+			occupied = append(occupied, leaf)
+		}
+	}
+	if len(occupied) < 2 {
+		return
+	}
+	i := rng.Intn(len(occupied))
+	j := (i + 1 + rng.Intn(len(occupied)-1)) % len(occupied)
+	la, lb := occupied[i], occupied[j]
+	ia, ib := la.Instances[0], lb.Instances[0]
+	if !la.Detach(ia) || !lb.Detach(ib) {
+		t.Fatal("detach failed")
+	}
+	if err := la.Attach(ib); err != nil {
+		t.Fatal(err)
+	}
+	if err := lb.Attach(ia); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Resync(la, lb); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func assertSnapshotMatchesFresh(t *testing.T, o *Online, tree *powertree.Node, traces TraceFn, step int) {
+	t.Helper()
+	fresh, err := tree.AggregateAll(powertree.PowerFn(traces))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := o.Snapshot()
+	tree.Walk(func(n *powertree.Node) {
+		got, gotOK := snap.Trace(n)
+		want, wantOK := fresh.Trace(n)
+		if gotOK != wantOK || got.Len() != want.Len() {
+			t.Fatalf("step %d: node %q: maintained (%v, %d samples) vs fresh (%v, %d samples)",
+				step, n.Name, gotOK, got.Len(), wantOK, want.Len())
+		}
+		for i, v := range want.Values {
+			if math.Float64bits(got.Values[i]) != math.Float64bits(v) {
+				t.Fatalf("step %d: node %q sample %d: maintained %v, fresh %v", step, n.Name, i, got.Values[i], v)
+			}
+		}
+		if math.Float64bits(snap.Peak(n)) != math.Float64bits(fresh.Peak(n)) {
+			t.Fatalf("step %d: node %q peak: maintained %v, fresh %v", step, n.Name, snap.Peak(n), fresh.Peak(n))
+		}
+	})
 }

@@ -159,7 +159,7 @@ func TestOnlineFARBAvoidsStranding(t *testing.T) {
 	tree, traces, lookup := multiFixture(t)
 	leaves := tree.Leaves()
 	demands := map[string]powertree.ResourceVector{
-		"seed-0": {"net": 8},            // leaf 0 nearly out of net
+		"seed-0": {"net": 8}, // leaf 0 nearly out of net
 		"arr":    {"net": 1, "space": 1},
 	}
 	traces["seed-0"], traces["arr"] = flatTrace(100), flatTrace(100)

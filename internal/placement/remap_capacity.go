@@ -34,33 +34,12 @@ func newRemapCapacity(tree *powertree.Node, demands DemandFn) (*remapCapacity, e
 	rc := &remapCapacity{
 		demands:  demands,
 		demandOf: make(map[string]powertree.ResourceVector),
-		used:     make(map[*powertree.Node]powertree.ResourceVector),
 	}
-	var build func(n *powertree.Node) (powertree.ResourceVector, error)
-	build = func(n *powertree.Node) (powertree.ResourceVector, error) {
-		var used powertree.ResourceVector
-		for _, id := range n.Instances {
-			d, err := rc.demandFor(id)
-			if err != nil {
-				return nil, err
-			}
-			used = used.AddInPlace(d)
-		}
-		for _, c := range n.Children {
-			cu, err := build(c)
-			if err != nil {
-				return nil, err
-			}
-			used = used.AddInPlace(cu)
-		}
-		if used != nil {
-			rc.used[n] = used
-		}
-		return used, nil
-	}
-	if _, err := build(tree); err != nil {
+	used, err := powertree.SubtreeDemands(tree, rc.demandFor)
+	if err != nil {
 		return nil, err
 	}
+	rc.used = used
 	return rc, nil
 }
 
@@ -106,20 +85,9 @@ func (rc *remapCapacity) lca(a, b *powertree.Node) *powertree.Node {
 // pathFits checks that used − out + in stays within every declared capacity
 // dimension from n up to (exclusive) stop.
 func (rc *remapCapacity) pathFits(n, stop *powertree.Node, in, out powertree.ResourceVector) bool {
-	dims := in.Dimensions()
-	if len(dims) == 0 {
-		return true
-	}
 	for ; n != nil && n != stop; n = n.Parent() {
-		if len(n.Capacities) == 0 {
-			continue
-		}
-		used := rc.used[n]
-		for _, dim := range dims {
-			limit, ok := n.Capacities[dim]
-			if ok && used.Get(dim)-out.Get(dim)+in.Get(dim) > limit {
-				return false
-			}
+		if !n.CapacityFits(rc.used[n], in, out) {
+			return false
 		}
 	}
 	return true

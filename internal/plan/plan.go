@@ -296,13 +296,19 @@ func (s *Snapshot) powerFn(extra map[string]timeseries.Series) powertree.PowerFn
 	}
 }
 
-// report aggregates a (scratch) tree once and summarizes it: Σ leaf peaks,
-// per-level fragmentation, breaker violations at current budgets.
+// report aggregates a (scratch) tree once and summarizes it.
 func (s *Snapshot) report(tree *powertree.Node, extra map[string]timeseries.Series, workers int) (Report, error) {
 	aggs, err := tree.AggregateAllParallel(s.powerFn(extra), workers)
 	if err != nil {
 		return Report{}, fmt.Errorf("plan: aggregating: %w", err)
 	}
+	return s.reportFrom(aggs)
+}
+
+// reportFrom summarizes an aggregation snapshot of a (scratch) tree: Σ leaf
+// peaks, per-level fragmentation, breaker violations at current budgets.
+func (s *Snapshot) reportFrom(aggs *powertree.Aggregates) (Report, error) {
+	tree := aggs.Root()
 	rows, err := metrics.FragmentationRatesFrom(tree, aggs)
 	if err != nil {
 		return Report{}, fmt.Errorf("plan: fragmentation: %w", err)
@@ -363,9 +369,9 @@ func (s *Snapshot) Evaluate(ctx context.Context, q Query, workers int) (*Result,
 	res := &Result{Kind: q.Kind, AsOf: s.asOf, Before: before}
 	switch q.Kind {
 	case KindReplaceService:
-		err = s.evalReplaceService(ctx, q, workers, res)
+		err = s.evalReplaceService(ctx, q, res)
 	case KindAddInstances:
-		err = s.evalAddInstances(ctx, q, workers, res)
+		err = s.evalAddInstances(ctx, q, res)
 	case KindTripBreaker:
 		err = s.evalTripBreaker(q, workers, res)
 	}
@@ -378,7 +384,7 @@ func (s *Snapshot) Evaluate(ctx context.Context, q Query, workers int) (*Result,
 // evalReplaceService detaches every instance of the service from a scratch
 // clone and re-admits them one at a time through placement.Online with the
 // query's policy, in tree order of the original placement.
-func (s *Snapshot) evalReplaceService(ctx context.Context, q Query, workers int, res *Result) error {
+func (s *Snapshot) evalReplaceService(ctx context.Context, q Query, res *Result) error {
 	scratch := s.tree.Clone()
 	var ids []string
 	for _, id := range scratch.AllInstances() {
@@ -425,7 +431,7 @@ func (s *Snapshot) evalReplaceService(ctx context.Context, q Query, workers int,
 			res.Moved++
 		}
 	}
-	after, err := s.report(scratch, nil, workers)
+	after, err := s.reportFrom(online.Snapshot())
 	if err != nil {
 		return err
 	}
@@ -444,7 +450,7 @@ func syntheticID(archetype string, i int) string {
 // service, each drawing the mean trace of the archetype's current
 // residents, until capacity runs out. Since every synthetic instance draws
 // the same trace, the first ErrNoCapacity decides all that follow.
-func (s *Snapshot) evalAddInstances(ctx context.Context, q Query, workers int, res *Result) error {
+func (s *Snapshot) evalAddInstances(ctx context.Context, q Query, res *Result) error {
 	scratch := s.tree.Clone()
 	var peers []timeseries.Series
 	for _, id := range scratch.AllInstances() {
@@ -478,7 +484,7 @@ func (s *Snapshot) evalAddInstances(ctx context.Context, q Query, workers int, r
 		}
 		res.Admitted++
 	}
-	after, err := s.report(scratch, extra, workers)
+	after, err := s.reportFrom(online.Snapshot())
 	if err != nil {
 		return err
 	}

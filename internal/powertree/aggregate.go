@@ -11,9 +11,9 @@
 // child-recursive operation order as AggregatePower, so every per-node
 // result is bit-identical to the per-node path for any worker count.
 //
-// The same two primitives — foldLeaf for a leaf's own instances, combineEntry
-// for an interior node over its children's entries — also back the
-// incremental delta path (see incremental.go), which re-runs them only on
+// The same walk (foldTree: foldLeaf for a leaf's own instances, combineEntry
+// for an interior node over its children's entries) also backs the
+// incremental delta path (see incremental.go), which re-runs it only on
 // dirty leaves and their root paths.
 package powertree
 
@@ -120,24 +120,12 @@ func foldLeaves(leaves []*Node, power PowerFn, workers int) ([]*aggEntry, error)
 // it therefore produces a bit-identical parent entry — the invariant the
 // delta path relies on.
 func combineEntry(m *Node, power PowerFn, child func(*Node) *aggEntry) (*aggEntry, error) {
-	e := &aggEntry{}
 	// Interior nodes hosting instances are invalid (Validate rejects them)
 	// but AggregatePower tolerates them, so mirror its fold: own instances
 	// first, then child aggregates.
-	for _, id := range m.Instances {
-		s, ok := power(id)
-		if !ok {
-			e.missing = append(e.missing, id)
-			continue
-		}
-		if !e.started {
-			e.trace = s.Clone()
-			e.started = true
-			continue
-		}
-		if err := e.trace.AddInPlace(s); err != nil {
-			return nil, fmt.Errorf("powertree: aggregating %q under %q: %w", id, m.Name, err)
-		}
+	e, err := foldLeaf(m, power)
+	if err != nil {
+		return nil, err
 	}
 	for _, c := range m.Children {
 		ce := child(c)
@@ -162,6 +150,50 @@ func combineEntry(m *Node, power PowerFn, child func(*Node) *aggEntry) (*aggEntr
 	return e, nil
 }
 
+// foldTree folds the given leaves (in tree order, fanned out over workers)
+// and re-combines their ancestors bottom-up in tree order. With needs nil
+// every node is recomputed; otherwise only the nodes needs marks are, and
+// every other subtree shares its entries from old wholesale. Entries are
+// immutable after construction, so sharing is safe for readers of both
+// results.
+func foldTree(root *Node, leaves []*Node, power PowerFn, workers int, old map[*Node]*aggEntry, needs map[*Node]bool) (map[*Node]*aggEntry, error) {
+	folds, err := foldLeaves(leaves, power, workers)
+	if err != nil {
+		return nil, err
+	}
+	entries := make(map[*Node]*aggEntry, len(old))
+	// build visits nodes in pre-order = tree order, so the recomputed leaves
+	// are consumed in the order leaves (and so folds) lists them.
+	leafIdx := 0
+	var build func(m *Node) error
+	build = func(m *Node) error {
+		if needs != nil && !needs[m] {
+			m.Walk(func(c *Node) { entries[c] = old[c] })
+			return nil
+		}
+		if m.IsLeaf() {
+			entries[m] = folds[leafIdx]
+			leafIdx++
+			return nil
+		}
+		for _, c := range m.Children {
+			if err := build(c); err != nil {
+				return err
+			}
+		}
+		e, err := combineEntry(m, power, func(c *Node) *aggEntry { return entries[c] })
+		if err != nil {
+			return err
+		}
+		entries[m] = e
+		return nil
+	}
+	if err := build(root); err != nil {
+		return nil, err
+	}
+	return entries, nil
+}
+
 // AggregateAll aggregates the whole subtree in one bottom-up pass with the
 // default worker count (see internal/parallel).
 func (n *Node) AggregateAll(power PowerFn) (*Aggregates, error) {
@@ -177,37 +209,11 @@ func (n *Node) AggregateAll(power PowerFn) (*Aggregates, error) {
 func (n *Node) AggregateAllParallel(power PowerFn, workers int) (*Aggregates, error) {
 	timer := obsAggregateSpan.Start()
 	index := buildTreeIndex(n)
-	folds, err := foldLeaves(index.leaves, power, workers)
+	entries, err := foldTree(n, index.leaves, power, workers, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-
-	a := &Aggregates{root: n, entries: make(map[*Node]*aggEntry), index: index}
-	// build visits nodes in pre-order, so leaves are consumed in index.leaves
-	// order and the counter stays aligned with folds.
-	leafIdx := 0
-	var build func(m *Node) error
-	build = func(m *Node) error {
-		if m.IsLeaf() {
-			a.entries[m] = folds[leafIdx]
-			leafIdx++
-			return nil
-		}
-		for _, c := range m.Children {
-			if err := build(c); err != nil {
-				return err
-			}
-		}
-		e, err := combineEntry(m, power, func(c *Node) *aggEntry { return a.entries[c] })
-		if err != nil {
-			return err
-		}
-		a.entries[m] = e
-		return nil
-	}
-	if err := build(n); err != nil {
-		return nil, err
-	}
+	a := &Aggregates{root: n, entries: entries, index: index}
 	// Counted after the leaf fan-out and serial combine complete, so the
 	// totals are identical for any worker count.
 	obsAggregations.Inc()

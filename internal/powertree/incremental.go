@@ -205,12 +205,6 @@ func (g *Aggregator) UpdateParallel(workers int) (*Aggregates, error) {
 		}
 	}
 
-	folds, err := foldLeaves(dirtyLeaves, g.power, workers)
-	if err != nil {
-		// Keep the dirty set: the caller can fix the traces and retry.
-		return nil, err
-	}
-
 	// A node must be recombined iff any leaf under it is dirty: exactly the
 	// dirty leaves plus their ancestors. Walk each leaf's parent chain,
 	// stopping at the first ancestor already marked (its own chain above is
@@ -221,38 +215,9 @@ func (g *Aggregator) UpdateParallel(workers int) (*Aggregates, error) {
 			needs[m] = true
 		}
 	}
-
-	entries := make(map[*Node]*aggEntry, len(old.entries))
-	leafIdx := 0
-	var build func(m *Node) error
-	build = func(m *Node) error {
-		if !needs[m] {
-			// Clean subtree: share the old entries wholesale. Entries are
-			// immutable after construction, so sharing is safe for readers
-			// of both snapshots.
-			m.Walk(func(c *Node) { entries[c] = old.entries[c] })
-			return nil
-		}
-		if m.IsLeaf() {
-			// build visits dirty leaves in pre-order = tree order, the order
-			// dirtyLeaves (and so folds) was collected in.
-			entries[m] = folds[leafIdx]
-			leafIdx++
-			return nil
-		}
-		for _, c := range m.Children {
-			if err := build(c); err != nil {
-				return err
-			}
-		}
-		e, err := combineEntry(m, g.power, func(c *Node) *aggEntry { return entries[c] })
-		if err != nil {
-			return err
-		}
-		entries[m] = e
-		return nil
-	}
-	if err := build(g.tree); err != nil {
+	entries, err := foldTree(g.tree, dirtyLeaves, g.power, workers, old.entries, needs)
+	if err != nil {
+		// Keep the dirty set: the caller can fix the traces and retry.
 		return nil, err
 	}
 

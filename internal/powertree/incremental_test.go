@@ -65,8 +65,8 @@ func TestAggregatorUpdateMatchesFresh(t *testing.T) {
 				return s
 			}
 			instID := 0
-			var placed []string          // ids currently attached somewhere
-			home := map[string]*Node{}   // id → hosting leaf
+			var placed []string        // ids currently attached somewhere
+			home := map[string]*Node{} // id → hosting leaf
 			for _, leaf := range leaves {
 				for k := rng.Intn(3); k > 0; k-- {
 					id := fmt.Sprintf("i%d", instID)

@@ -140,6 +140,69 @@ func SumCapacities(children []*Node) ResourceVector {
 	return sum
 }
 
+// SubtreeDemands sums every node's subtree demand bottom-up: the returned
+// map holds, for each node whose subtree hosts a demanding instance, the
+// per-dimension sum of those instances' demand vectors. Nodes whose subtree
+// demands nothing are absent. demand resolves one instance's vector (nil
+// means nothing beyond power); its error aborts the sum.
+func SubtreeDemands(root *Node, demand func(id string) (ResourceVector, error)) (map[*Node]ResourceVector, error) {
+	used := make(map[*Node]ResourceVector)
+	var sum func(n *Node) error
+	sum = func(n *Node) error {
+		for _, c := range n.Children {
+			if err := sum(c); err != nil {
+				return err
+			}
+		}
+		return RefreshDemand(used, n, demand)
+	}
+	if err := sum(root); err != nil {
+		return nil, err
+	}
+	return used, nil
+}
+
+// RefreshDemand recomputes one node's entry of a SubtreeDemands map from
+// the node's own instances and its children's entries, which must already
+// be current — the incremental form callers use to refresh a root path
+// after churn on one leaf.
+func RefreshDemand(used map[*Node]ResourceVector, n *Node, demand func(id string) (ResourceVector, error)) error {
+	var sum ResourceVector
+	for _, id := range n.Instances {
+		d, err := demand(id)
+		if err != nil {
+			return err
+		}
+		sum = sum.AddInPlace(d)
+	}
+	for _, c := range n.Children {
+		sum = sum.AddInPlace(used[c])
+	}
+	if sum == nil {
+		delete(used, n)
+	} else {
+		used[n] = sum
+	}
+	return nil
+}
+
+// CapacityFits reports whether used − out + in stays within every capacity
+// dimension the node declares, for each dimension of in. Dimensions the
+// node does not declare are unconstrained there (partial declarations are
+// allowed), and an empty in always fits.
+func (n *Node) CapacityFits(used, in, out ResourceVector) bool {
+	if len(in) == 0 || len(n.Capacities) == 0 {
+		return true
+	}
+	for _, dim := range in.Dimensions() {
+		limit, ok := n.Capacities[dim]
+		if ok && used.Get(dim)-out.Get(dim)+in.Get(dim) > limit {
+			return false
+		}
+	}
+	return true
+}
+
 // validateCapacities walks the subtree checking the capacity invariants:
 // every vector is well-formed and, wherever parent and child both declare a
 // dimension, the child's capacity does not exceed the parent's (mirroring

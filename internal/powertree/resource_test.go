@@ -208,3 +208,72 @@ func TestCloneCopiesCapacities(t *testing.T) {
 		t.Fatal("Clone must deep-copy capacity vectors")
 	}
 }
+
+// TestSubtreeDemandsAndCapacityFits: subtree sums cover every demanding
+// instance below a node, a root-path RefreshDemand after churn lands on the
+// same map a fresh sum builds, and CapacityFits applies used − out + in only
+// to the dimensions a node declares.
+func TestSubtreeDemandsAndCapacityFits(t *testing.T) {
+	tree, err := Build(TopologySpec{
+		Name: "dc", SuitesPerDC: 1, MSBsPerSuite: 1, SBsPerMSB: 1, RPPsPerSB: 2,
+		LeafBudget: 100, LeafCapacities: ResourceVector{"net": 10},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	demands := map[string]ResourceVector{"a": {"net": 4}, "b": {"net": 3, "gpu": 1}}
+	resolve := func(id string) (ResourceVector, error) { return demands[id], nil }
+	leaves := tree.Leaves()
+	for _, id := range []string{"a", "b", "power-only"} {
+		if err := leaves[0].Attach(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	used, err := SubtreeDemands(tree, resolve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := used[tree], (ResourceVector{"net": 7, "gpu": 1}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("root demand = %v, want %v", got, want)
+	}
+	if _, ok := used[leaves[1]]; ok {
+		t.Fatal("an empty leaf has a demand entry")
+	}
+
+	leaves[0].Detach("a")
+	if err := leaves[1].Attach("a"); err != nil {
+		t.Fatal(err)
+	}
+	for _, leaf := range leaves {
+		for n := leaf; n != nil; n = n.Parent() {
+			if err := RefreshDemand(used, n, resolve); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fresh, err := SubtreeDemands(tree, resolve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(used, fresh) {
+		t.Fatalf("path refresh %v, fresh sum %v", used, fresh)
+	}
+
+	leaf := leaves[0] // net 3 of 10 used; gpu undeclared
+	if !leaf.CapacityFits(used[leaf], ResourceVector{"net": 7, "gpu": 99}, nil) {
+		t.Fatal("a demand that exactly fills net (gpu undeclared) was rejected")
+	}
+	if leaf.CapacityFits(used[leaf], ResourceVector{"net": 8}, nil) {
+		t.Fatal("a demand that overflows net was accepted")
+	}
+	if !leaf.CapacityFits(used[leaf], ResourceVector{"net": 8}, ResourceVector{"net": 1}) {
+		t.Fatal("swapping out 1 net did not make room for 8")
+	}
+	if !leaf.CapacityFits(used[leaf], nil, nil) {
+		t.Fatal("an empty demand must always fit")
+	}
+	errBoom := errors.New("boom")
+	if _, err := SubtreeDemands(tree, func(string) (ResourceVector, error) { return nil, errBoom }); !errors.Is(err, errBoom) {
+		t.Fatalf("resolver error: got %v", err)
+	}
+}

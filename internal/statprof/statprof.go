@@ -64,41 +64,17 @@ type RequiredBudget struct {
 	Budget float64
 }
 
-// percentiler abstracts the percentile kernel the provisioning sweeps run
-// on: the exact sort path (timeseries.PercentileCalc, the default) or the
-// fixed-ε bucket sketch (timeseries.PercentileSketch, opt-in via the
-// *Sketch variants). Both reuse internal buffers and are single-goroutine.
-type percentiler interface {
-	Percentile(s timeseries.Series, p float64) float64
-}
-
 // StatProf computes the baseline's required budget at every level: each
 // node needs Σ over hosted instances of the instance's (100−u)-th power
 // percentile, divided by (1+δ). Instances are read from the tree's
 // placement; traces supply the power profiles.
 func StatProf(tree *powertree.Node, traces powertree.PowerFn, cfg Config) ([]RequiredBudget, error) {
-	return statProfWith(tree, traces, cfg, &timeseries.PercentileCalc{})
-}
-
-// StatProfSketch is StatProf with per-instance percentiles estimated by a
-// fixed-ε sketch instead of exact sorts — each is within ε·(max−min)/2 of
-// the exact value (see timeseries.PercentileSketch), and per-level budgets
-// accumulate at most that error per instance. Intended for wide (u, δ)
-// sweeps where full sorts dominate.
-func StatProfSketch(tree *powertree.Node, traces powertree.PowerFn, cfg Config, eps float64) ([]RequiredBudget, error) {
-	sk, err := timeseries.NewPercentileSketch(eps)
-	if err != nil {
-		return nil, err
-	}
-	return statProfWith(tree, traces, cfg, sk)
-}
-
-func statProfWith(tree *powertree.Node, traces powertree.PowerFn, cfg Config, calc percentiler) ([]RequiredBudget, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	// Pre-compute per-instance percentiles once, sharing one kernel buffer
 	// across the whole (serial) walk.
+	var calc timeseries.PercentileCalc
 	perc := make(map[string]float64)
 	var err error
 	tree.Walk(func(n *powertree.Node) {
@@ -138,21 +114,6 @@ func statProfWith(tree *powertree.Node, traces powertree.PowerFn, cfg Config, ca
 // by (1+δ). With u=δ=0 this is the peak-of-aggregate requirement that
 // workload-aware placement minimises.
 func SmoothOperator(tree *powertree.Node, traces powertree.PowerFn, cfg Config) ([]RequiredBudget, error) {
-	return smoothOperatorWith(tree, traces, cfg, &timeseries.PercentileCalc{})
-}
-
-// SmoothOperatorSketch is SmoothOperator with per-node aggregate percentiles
-// estimated by a fixed-ε sketch instead of exact sorts — each node's
-// requirement is within ε·(max−min)/2 of the exact value.
-func SmoothOperatorSketch(tree *powertree.Node, traces powertree.PowerFn, cfg Config, eps float64) ([]RequiredBudget, error) {
-	sk, err := timeseries.NewPercentileSketch(eps)
-	if err != nil {
-		return nil, err
-	}
-	return smoothOperatorWith(tree, traces, cfg, sk)
-}
-
-func smoothOperatorWith(tree *powertree.Node, traces powertree.PowerFn, cfg Config, calc percentiler) ([]RequiredBudget, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -163,6 +124,7 @@ func smoothOperatorWith(tree *powertree.Node, traces powertree.PowerFn, cfg Conf
 	if err != nil {
 		return nil, err
 	}
+	var calc timeseries.PercentileCalc
 	out := make([]RequiredBudget, 0, len(powertree.Levels))
 	for _, level := range powertree.Levels {
 		var total float64

@@ -171,80 +171,3 @@ func TestBuildCDF(t *testing.T) {
 		t.Fatal("empty trace must error")
 	}
 }
-
-// sketchBudgetBound returns the worst-case absolute error of the sketch
-// variants' per-level budget: the sum of each contributing series' own
-// ε·(max−min)/2 bound, divided by (1+δ).
-func sketchBudgetBound(ranges []timeseries.Series, eps, overbook float64) float64 {
-	sk, _ := timeseries.NewPercentileSketch(eps)
-	var sum float64
-	for _, s := range ranges {
-		sum += sk.ErrorBound(s)
-	}
-	return sum / (1 + overbook)
-}
-
-// TestSketchVariantsWithinBound: StatProfSketch and SmoothOperatorSketch
-// must land within the accumulated per-series sketch bound of the exact
-// variants, for every paper config, and reject bad epsilons.
-func TestSketchVariantsWithinBound(t *testing.T) {
-	tree, pf := fixture(t)
-	const eps = 0.01
-	for _, cfg := range PaperConfigs {
-		exact, err := StatProf(tree, pf, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		approx, err := StatProfSketch(tree, pf, cfg, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var instTraces []timeseries.Series
-		for _, id := range tree.AllInstances() {
-			s, ok := pf(id)
-			if !ok {
-				t.Fatalf("missing trace %q", id)
-			}
-			instTraces = append(instTraces, s)
-		}
-		bound := sketchBudgetBound(instTraces, eps, cfg.Overbook)
-		for i := range exact {
-			if diff := math.Abs(approx[i].Budget - exact[i].Budget); diff > bound+1e-9 {
-				t.Fatalf("StatProfSketch cfg %v level %s: |%v - %v| = %v > bound %v",
-					cfg, exact[i].Level, approx[i].Budget, exact[i].Budget, diff, bound)
-			}
-		}
-
-		exactSmo, err := SmoothOperator(tree, pf, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		approxSmo, err := SmoothOperatorSketch(tree, pf, cfg, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		aggs, err := tree.AggregateAll(pf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range exactSmo {
-			var nodeTraces []timeseries.Series
-			for _, n := range aggs.NodesAtLevel(exactSmo[i].Level) {
-				if s, ok := aggs.Trace(n); ok && !s.Empty() {
-					nodeTraces = append(nodeTraces, s)
-				}
-			}
-			bound := sketchBudgetBound(nodeTraces, eps, cfg.Overbook)
-			if diff := math.Abs(approxSmo[i].Budget - exactSmo[i].Budget); diff > bound+1e-9 {
-				t.Fatalf("SmoothOperatorSketch cfg %v level %s: |%v - %v| = %v > bound %v",
-					cfg, exactSmo[i].Level, approxSmo[i].Budget, exactSmo[i].Budget, diff, bound)
-			}
-		}
-	}
-	if _, err := StatProfSketch(tree, pf, Config{}, 0); err == nil {
-		t.Fatal("StatProfSketch accepted eps=0")
-	}
-	if _, err := SmoothOperatorSketch(tree, pf, Config{}, -1); err == nil {
-		t.Fatal("SmoothOperatorSketch accepted eps=-1")
-	}
-}

@@ -1,149 +1,19 @@
-// Streaming and bucketed percentile sketches — opt-in approximations for
-// scoring sweeps that don't need exact ranks.
+// Bucketed percentile sketch — an approximation for scoring sweeps that
+// don't need exact ranks.
 //
 // The exact path (Series.Percentile / PercentileCalc) fully sorts every
 // series: ~O(n log n) per call, ~744µs for a week of 5-minute readings at
-// bench scale. Sweeps that evaluate thousands of candidate placements only
-// need percentile estimates with a known error bound, for which two sketches
-// are provided:
-//
-//   - P2Quantile: the P² algorithm (Jain & Chlamtac, CACM 1985). One quantile
-//     tracked online over a stream in O(1) space and O(1) per observation —
-//     no buffer of the data at all. Exact up to five observations; beyond
-//     that a heuristic estimate with no hard bound (validated empirically in
-//     the property tests).
-//   - PercentileSketch: a fixed-ε histogram over ⌈1/ε⌉ equal-width buckets.
-//     Two passes over the series, O(n + 1/ε) per call, with the provable
-//     bound |sketch − exact| ≤ ε·(max−min)/2 (see Percentile).
-//
-// Both are deterministic: outputs are pure functions of the input values
-// (and, for P², their order). The exact sort path remains the default
-// everywhere; sketches are opt-in (statprof.StatProfSketch and friends).
+// bench scale. PercentileSketch is a fixed-ε histogram over ⌈1/ε⌉
+// equal-width buckets instead: two passes over the series, O(n + 1/ε) per
+// call, with the provable bound |sketch − exact| ≤ ε·(max−min)/2 (see
+// Percentile). Its output is a pure function of the input values. The exact
+// sort path remains the default everywhere.
 package timeseries
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
-
-// P2Quantile estimates one percentile of a stream with the P² algorithm:
-// five markers whose heights approximate the quantile curve, adjusted per
-// observation by a piecewise-parabolic (hence P²) prediction. The zero value
-// is not usable; construct with NewP2Quantile. A P2Quantile must not be
-// shared between goroutines without external synchronisation.
-type P2Quantile struct {
-	p     float64    // target percentile, 0–100
-	count int        // observations seen
-	q     [5]float64 // marker heights
-	n     [5]int     // marker positions, 1-based
-	np    [5]float64 // desired marker positions
-	dn    [5]float64 // desired position increments per observation
-}
-
-// NewP2Quantile returns a streaming estimator for the p-th percentile
-// (0 ≤ p ≤ 100).
-func NewP2Quantile(p float64) (*P2Quantile, error) {
-	if math.IsNaN(p) || p < 0 || p > 100 {
-		return nil, fmt.Errorf("timeseries: percentile %v out of range [0, 100]", p)
-	}
-	s := &P2Quantile{p: p}
-	q := p / 100
-	s.dn = [5]float64{0, q / 2, q, (1 + q) / 2, 1}
-	return s, nil
-}
-
-// Count returns the number of observations folded in so far.
-func (s *P2Quantile) Count() int { return s.count }
-
-// Add folds one observation into the estimate.
-func (s *P2Quantile) Add(x float64) {
-	if s.count < 5 {
-		s.q[s.count] = x
-		s.count++
-		if s.count == 5 {
-			sort.Float64s(s.q[:])
-			for i := range s.n {
-				s.n[i] = i + 1
-				s.np[i] = 1 + 4*s.dn[i]
-			}
-		}
-		return
-	}
-	s.count++
-
-	// Locate the cell containing x, clamping the extreme markers.
-	var k int
-	switch {
-	case x < s.q[0]:
-		s.q[0] = x
-		k = 0
-	case x >= s.q[4]:
-		s.q[4] = x
-		k = 3
-	default:
-		for k = 0; k < 3; k++ {
-			if x < s.q[k+1] {
-				break
-			}
-		}
-	}
-
-	for i := k + 1; i < 5; i++ {
-		s.n[i]++
-	}
-	for i := range s.np {
-		s.np[i] += s.dn[i]
-	}
-
-	// Nudge the interior markers toward their desired positions.
-	for i := 1; i <= 3; i++ {
-		d := s.np[i] - float64(s.n[i])
-		if (d >= 1 && s.n[i+1]-s.n[i] > 1) || (d <= -1 && s.n[i-1]-s.n[i] < -1) {
-			sign := 1
-			if d < 0 {
-				sign = -1
-			}
-			qn := s.parabolic(i, sign)
-			if s.q[i-1] < qn && qn < s.q[i+1] {
-				s.q[i] = qn
-			} else {
-				s.q[i] = s.linear(i, sign)
-			}
-			s.n[i] += sign
-		}
-	}
-}
-
-// parabolic is the P² piecewise-parabolic height prediction for moving
-// marker i by sign (±1).
-func (s *P2Quantile) parabolic(i, sign int) float64 {
-	d := float64(sign)
-	nm, ni, np := float64(s.n[i-1]), float64(s.n[i]), float64(s.n[i+1])
-	return s.q[i] + d/(np-nm)*((ni-nm+d)*(s.q[i+1]-s.q[i])/(np-ni)+(np-ni-d)*(s.q[i]-s.q[i-1])/(ni-nm))
-}
-
-// linear is the fallback height prediction when the parabolic one would
-// break marker monotonicity.
-func (s *P2Quantile) linear(i, sign int) float64 {
-	return s.q[i] + float64(sign)*(s.q[i+sign]-s.q[i])/float64(s.n[i+sign]-s.n[i])
-}
-
-// Value returns the current estimate. With five or fewer observations it is
-// exact (same closest-ranks interpolation as Series.Percentile); with more
-// it returns the middle marker's height. NaN before any observation.
-func (s *P2Quantile) Value() float64 {
-	if s.count == 0 {
-		return math.NaN()
-	}
-	if s.count <= 5 {
-		buf := make([]float64, s.count)
-		copy(buf, s.q[:s.count])
-		sort.Float64s(buf)
-		return percentileOfSorted(buf, s.p)
-	}
-	return s.q[2]
-}
 
 // PercentileSketch computes approximate percentiles by bucketing a series
 // into k = ⌈1/ε⌉ equal-width buckets between its min and max, reusing one

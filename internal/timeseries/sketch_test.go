@@ -109,81 +109,6 @@ func TestPercentileSketchEdgeCases(t *testing.T) {
 	}
 }
 
-// TestP2QuantileExactSmall: with five or fewer observations the P² estimate
-// must equal the exact closest-ranks percentile bit-for-bit.
-func TestP2QuantileExactSmall(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 50; trial++ {
-		n := rng.Intn(5) + 1
-		p := rng.Float64() * 100
-		est, err := NewP2Quantile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := randomSeries(rng, n, func(r *rand.Rand) float64 { return r.Float64() * 100 })
-		for _, v := range s.Values {
-			est.Add(v)
-		}
-		if got, want := est.Value(), s.Percentile(p); got != want {
-			t.Fatalf("trial %d n=%d p=%v: %v vs exact %v", trial, n, p, got, want)
-		}
-		if est.Count() != n {
-			t.Fatalf("trial %d: count %d, want %d", trial, est.Count(), n)
-		}
-	}
-	if est, _ := NewP2Quantile(50); !math.IsNaN(est.Value()) {
-		t.Fatal("no observations did not return NaN")
-	}
-	for _, p := range []float64{-1, 101, math.NaN()} {
-		if _, err := NewP2Quantile(p); err == nil {
-			t.Fatalf("NewP2Quantile(%v) accepted", p)
-		}
-	}
-}
-
-// TestP2QuantileConvergence: on long seeded streams the streaming estimate
-// must land within a small empirical tolerance of the exact percentile —
-// P² has no hard bound, so the property pins observed behaviour on
-// distributions like the power traces (uniform, normal, bimodal).
-func TestP2QuantileConvergence(t *testing.T) {
-	gens := map[string]func(*rand.Rand) float64{
-		"uniform": func(r *rand.Rand) float64 { return r.Float64() * 300 },
-		"normal":  func(r *rand.Rand) float64 { return 150 + 40*r.NormFloat64() },
-		// 40% low mode / 60% high mode: none of the tested percentiles
-		// falls on the inter-mode gap, where the exact percentile itself
-		// is sampling-unstable and no estimator could pin it.
-		"bimodal": func(r *rand.Rand) float64 {
-			if r.Float64() < 0.4 {
-				return 60 + 5*r.NormFloat64()
-			}
-			return 240 + 5*r.NormFloat64()
-		},
-	}
-	var calc PercentileCalc
-	for name, gen := range gens {
-		for trial := 0; trial < 5; trial++ {
-			rng := rand.New(rand.NewSource(int64(100 + trial)))
-			s := randomSeries(rng, 5000, gen)
-			lo, hi := minMax(s.Values)
-			tol := 0.05 * (hi - lo)
-			for _, p := range []float64{25, 50, 75, 90, 95} {
-				est, err := NewP2Quantile(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, v := range s.Values {
-					est.Add(v)
-				}
-				exact := calc.Percentile(s, p)
-				if diff := math.Abs(est.Value() - exact); diff > tol {
-					t.Fatalf("%s trial %d p=%v: |%v - %v| = %v > tol %v",
-						name, trial, p, est.Value(), exact, diff, tol)
-				}
-			}
-		}
-	}
-}
-
 func BenchmarkPercentileSketchWeek(b *testing.B) {
 	s := benchSeries(MinutesPerWeek, 4)
 	sk, err := NewPercentileSketch(0.01)
@@ -194,21 +119,5 @@ func BenchmarkPercentileSketchWeek(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = sk.Percentile(s, 95)
-	}
-}
-
-func BenchmarkP2QuantileWeek(b *testing.B) {
-	s := benchSeries(MinutesPerWeek, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		est, err := NewP2Quantile(95)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, v := range s.Values {
-			est.Add(v)
-		}
-		_ = est.Value()
 	}
 }
