@@ -2,8 +2,8 @@
 // testing.Benchmark, so ns/op, B/op and allocs/op come from the standard
 // benchmark machinery) and writes them to a JSON file. `make bench-json`
 // produces BENCH_pipeline.json; successive PRs diff it to track the perf
-// trajectory of the scoring, aggregation and percentile kernels and of the
-// full experiment pipeline. The -scale flag adds a fleet-size axis pitting
+// trajectory of the scoring, aggregation and percentile kernels, of one
+// online admission and of the full experiment pipeline. The -scale flag adds a fleet-size axis pitting
 // the full O(fleet) aggregation sweep against the incremental delta tick
 // (≤1% of leaves dirty) at 10k/100k/1M instances.
 package main
@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/placement"
 	"repro/internal/powertree"
 	"repro/internal/score"
 	"repro/internal/timeseries"
@@ -71,8 +72,34 @@ func benchTree() (*powertree.Node, powertree.PowerFn, error) {
 	}, nil
 }
 
-// benchmarks builds the suite: kernel-level benches for the three hot paths
-// plus the full 3-DC pipeline. Every closure calls b.ReportAllocs so
+// benchOnline wraps a fresh benchTree in an asynchrony-policy online placer
+// and returns it with the IDs of 16 arrivals it can admit. One
+// placement/online_admit op admits an arrival and retires it again, so the
+// tree stays at its 128 residents.
+func benchOnline() (*placement.Online, []string, error) {
+	tree, pf, err := benchTree()
+	if err != nil {
+		return nil, nil, err
+	}
+	arrivals := make([]string, 16)
+	extra := make(map[string]timeseries.Series, len(arrivals))
+	for i, s := range synthTraces(len(arrivals), 288, 97) {
+		arrivals[i] = fmt.Sprintf("a%d", i)
+		extra[arrivals[i]] = s
+	}
+	traces := func(id string) (timeseries.Series, bool) {
+		if s, ok := extra[id]; ok {
+			return s, true
+		}
+		return pf(id)
+	}
+	o, err := placement.NewOnline(tree, traces, placement.PolicyConfig{})
+	return o, arrivals, err
+}
+
+// benchmarks builds the suite: kernel-level benches for the scoring,
+// aggregation and percentile hot paths, one online admission, plus the full
+// 3-DC pipeline. Every closure calls b.ReportAllocs so
 // allocs/op lands in the output.
 func benchmarks() (map[string]func(b *testing.B), error) {
 	scoreTraces := synthTraces(520, 288, 17)
@@ -86,6 +113,10 @@ func benchmarks() (map[string]func(b *testing.B), error) {
 		return nil, err
 	}
 	week := synthTraces(1, timeseries.MinutesPerWeek, 23)[0]
+	online, arrivals, err := benchOnline()
+	if err != nil {
+		return nil, err
+	}
 
 	return map[string]func(b *testing.B){
 		"score/basis_vector_into": func(b *testing.B) {
@@ -113,6 +144,29 @@ func benchmarks() (map[string]func(b *testing.B), error) {
 			residuals := []float64{0.42, 0.13, 0.87, 0.61}
 			for i := 0; i < b.N; i++ {
 				if _, err := score.Composite(w, residuals, 0.5); err != nil {
+					b.Fatal(err)
+				}
+			}
+		},
+		"score/differential": func(b *testing.B) {
+			b.ReportAllocs()
+			// One instance against a 16-peer node, the per-candidate unit of
+			// admission scoring and of Remap's swap search.
+			inst, peers := instances[0], instances[1:17]
+			for i := 0; i < b.N; i++ {
+				if _, err := score.Differential(inst, peers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		},
+		"placement/online_admit": func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				id := arrivals[i%len(arrivals)]
+				if _, err := online.Admit(placement.Instance{ID: id}); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := online.Retire(id); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -187,6 +241,8 @@ var names = []string{
 	"score/basis_vector_into",
 	"score/vectors_batch512",
 	"score/farb_composite",
+	"score/differential",
+	"placement/online_admit",
 	"powertree/aggregate_all",
 	"powertree/per_node_oracle",
 	"timeseries/percentile_calc_week",

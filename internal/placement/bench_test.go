@@ -72,3 +72,32 @@ func BenchmarkRemap(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkOnlineAdmit measures one arrival on a populated tree: Admit (the
+// candidate walk, policy scoring and aggregate update) followed by the
+// matching Retire, so the tree stays at steady occupancy.
+func BenchmarkOnlineAdmit(b *testing.B) {
+	instances, traces, tree := benchFixture(b)
+	o, err := NewOnline(tree, traces, PolicyConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	split := len(instances) * 3 / 4
+	for _, inst := range instances[:split] {
+		if _, err := o.Admit(inst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	held := instances[split:]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inst := held[i%len(held)]
+		if _, err := o.Admit(inst); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := o.Retire(inst.ID); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

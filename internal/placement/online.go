@@ -33,10 +33,16 @@ var (
 type OnlineCandidate struct {
 	// Leaf is the candidate host node.
 	Leaf *powertree.Node
-	// Residents are the traces of the instances currently on the leaf, in
-	// attachment order. The slice is shared with the placer's internal
-	// state and must not be mutated.
-	Residents []timeseries.Series
+	// Sum is the element-wise sum of the traces of the instances currently
+	// on the leaf: the leaf's aggregate from the placer's Aggregator, folded
+	// in attachment order exactly as timeseries.Sum would. It is Empty when
+	// the leaf hosts no traced instance. The series is shared with the
+	// placer's snapshot and must not be mutated.
+	Sum timeseries.Series
+	// Count is the number of traces in Sum. With Sum it is all the
+	// differential asynchrony score of §3.6 needs (score.DifferentialSum),
+	// so scoring a candidate costs O(len) whatever its resident count.
+	Count int
 	// PostPeak is the peak of the leaf's aggregate trace after admitting
 	// the arriving instance.
 	PostPeak float64
@@ -92,11 +98,9 @@ type Online struct {
 	// aggregates. Both stay empty on power-only trees.
 	demandOf map[string]powertree.ResourceVector
 	used     map[*powertree.Node]powertree.ResourceVector
-	// residents holds per-leaf traces parallel to leaf.Instances;
-	// residentIDs holds the matching instance IDs — the placer's own record
-	// of who it thinks lives on each leaf, which Resync diffs against the
-	// tree after an external move.
-	residents   map[*powertree.Node][]timeseries.Series
+	// residentIDs holds per-leaf instance IDs parallel to leaf.Instances —
+	// the placer's own record of who it thinks lives on each leaf, which
+	// Resync diffs against the tree after an external move.
 	residentIDs map[*powertree.Node][]string
 	// leafOf locates every admitted instance's hosting leaf.
 	leafOf map[string]*powertree.Node
@@ -138,7 +142,6 @@ func newOnline(tree *powertree.Node, traces TraceFn, policy Policy, demands Dema
 		policy:      policy,
 		demands:     demands,
 		demandOf:    make(map[string]powertree.ResourceVector),
-		residents:   make(map[*powertree.Node][]timeseries.Series, len(leaves)),
 		residentIDs: make(map[*powertree.Node][]string, len(leaves)),
 		leafOf:      make(map[string]*powertree.Node),
 	}
@@ -219,17 +222,15 @@ func (o *Online) resolveDemand(id string, inline powertree.ResourceVector) (powe
 	return d.Clone(), nil
 }
 
-// snapshotLeaf (re)builds one leaf's resident trace and ID records from the
-// tree's current leaf.Instances, re-pointing leafOf at this leaf for each.
+// snapshotLeaf (re)builds one leaf's resident ID record from the tree's
+// current leaf.Instances, checking each resident's trace resolves and
+// re-pointing leafOf at this leaf for each.
 func (o *Online) snapshotLeaf(leaf *powertree.Node) error {
-	trs := make([]timeseries.Series, 0, len(leaf.Instances))
 	ids := make([]string, 0, len(leaf.Instances))
 	for _, id := range leaf.Instances {
-		tr, ok := o.traces(id)
-		if !ok {
+		if _, ok := o.traces(id); !ok {
 			return fmt.Errorf("%w for resident instance %q", ErrMissingTrace, id)
 		}
-		trs = append(trs, tr)
 		ids = append(ids, id)
 		o.leafOf[id] = leaf
 		// Demands recorded at admission (possibly inline on the Instance)
@@ -244,7 +245,6 @@ func (o *Online) snapshotLeaf(leaf *powertree.Node) error {
 			}
 		}
 	}
-	o.residents[leaf] = trs
 	o.residentIDs[leaf] = ids
 	return nil
 }
@@ -383,7 +383,8 @@ func (o *Online) feasibleLeaves(tr timeseries.Series, demand powertree.ResourceV
 		if n.IsLeaf() {
 			cands = append(cands, OnlineCandidate{
 				Leaf:      n,
-				Residents: o.residents[n],
+				Sum:       agg,
+				Count:     len(n.Instances) - len(snap.Missing(n)),
 				PostPeak:  post,
 				Headroom:  n.Budget - post,
 				Residuals: o.residualFractions(n, n.Budget-post, demand),
@@ -437,7 +438,6 @@ func (o *Online) Admit(inst Instance) (*powertree.Node, error) {
 	if err := leaf.Attach(inst.ID); err != nil {
 		return nil, err
 	}
-	o.residents[leaf] = append(o.residents[leaf], tr)
 	o.residentIDs[leaf] = append(o.residentIDs[leaf], inst.ID)
 	o.leafOf[inst.ID] = leaf
 	if demand != nil {
@@ -467,8 +467,6 @@ func (o *Online) Retire(id string) (*powertree.Node, error) {
 	if idx < 0 || !leaf.Detach(id) {
 		return nil, fmt.Errorf("placement: retire bookkeeping failed for %q", id)
 	}
-	trs := o.residents[leaf]
-	o.residents[leaf] = append(trs[:idx:idx], trs[idx+1:]...)
 	ids := o.residentIDs[leaf]
 	o.residentIDs[leaf] = append(ids[:idx:idx], ids[idx+1:]...)
 	delete(o.leafOf, id)
@@ -488,26 +486,6 @@ func (o *Online) Retire(id string) (*powertree.Node, error) {
 type OnlineRandom struct {
 	rng *rand.Rand
 }
-
-// NewOnlineRandom returns a random policy with a fixed decision stream.
-//
-// Deprecated: use NewPolicy(PolicyConfig{Kind: PolicyRandom, Seed: seed}),
-// or pass that PolicyConfig to NewOnline directly.
-func NewOnlineRandom(seed int64) *OnlineRandom {
-	return &OnlineRandom{rng: newRand(seed)}
-}
-
-// NewOnlineBestFit returns the best-fit policy.
-//
-// Deprecated: use NewPolicy(PolicyConfig{Kind: PolicyBestFit}), or pass
-// that PolicyConfig to NewOnline directly.
-func NewOnlineBestFit() OnlineBestFit { return OnlineBestFit{} }
-
-// NewOnlineAsynchrony returns the workload-aware asynchrony policy.
-//
-// Deprecated: use NewPolicy(PolicyConfig{}) — asynchrony is the default
-// kind — or pass the PolicyConfig to NewOnline directly.
-func NewOnlineAsynchrony() OnlineAsynchrony { return OnlineAsynchrony{} }
 
 // Name implements OnlinePolicy.
 func (p *OnlineRandom) Name() string { return "random" }
@@ -538,10 +516,12 @@ func (OnlineBestFit) Choose(cands []OnlineCandidate, _ Instance, _ timeseries.Se
 
 // OnlineAsynchrony is the workload-aware policy: the arrival lands on the
 // feasible leaf whose residents it is most asynchronous with, measured by
-// the differential asynchrony score of §3.6 (score.Differential) — exactly
-// the quantity Remap maximizes when it repairs drift, applied at admission
-// time instead. Empty leaves score +Inf (a lone instance cannot overlap
-// with anything); ties break toward the tighter fit, then tree order.
+// the differential asynchrony score of §3.6 — exactly the quantity Remap
+// maximizes when it repairs drift, applied at admission time instead. It
+// scores from each candidate's resident Sum and Count
+// (score.DifferentialSum), so it allocates nothing. Empty leaves score +Inf
+// (a lone instance cannot overlap with anything); ties break toward the
+// tighter fit, then tree order.
 type OnlineAsynchrony struct{}
 
 // Name implements OnlinePolicy.
@@ -552,9 +532,9 @@ func (OnlineAsynchrony) Choose(cands []OnlineCandidate, _ Instance, tr timeserie
 	best, bestScore, bestHead := -1, math.Inf(-1), math.Inf(1)
 	for i, c := range cands {
 		s := math.Inf(1)
-		if len(c.Residents) > 0 {
+		if c.Count > 0 {
 			var err error
-			s, err = score.Differential(tr, c.Residents)
+			s, err = score.DifferentialSum(tr, c.Sum, c.Count)
 			if err != nil {
 				return 0, fmt.Errorf("differential against %q: %w", c.Leaf.Name, err)
 			}

@@ -12,15 +12,29 @@ import (
 	"repro/internal/timeseries"
 )
 
-// onlinePolicies returns a fresh instance of every online policy (random
-// policies carry a decision stream, so tests must not share them between
-// runs).
-func onlinePolicies() []OnlinePolicy {
-	return []OnlinePolicy{NewOnlineRandom(7), OnlineBestFit{}, OnlineAsynchrony{}}
+// mustPolicy builds the policy cfg describes, failing the test on error.
+func mustPolicy(t testing.TB, cfg PolicyConfig) Policy {
+	t.Helper()
+	p, err := NewPolicy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// onlinePolicies returns a fresh instance of every power-only online policy
+// (random policies carry a decision stream, so tests must not share them
+// between runs).
+func onlinePolicies(t *testing.T) []OnlinePolicy {
+	return []OnlinePolicy{
+		mustPolicy(t, PolicyConfig{Kind: PolicyRandom, Seed: 7}),
+		mustPolicy(t, PolicyConfig{Kind: PolicyBestFit}),
+		mustPolicy(t, PolicyConfig{}),
+	}
 }
 
 func TestOnlineAdmitsWholeFleet(t *testing.T) {
-	for _, policy := range onlinePolicies() {
+	for _, policy := range onlinePolicies(t) {
 		t.Run(policy.Name(), func(t *testing.T) {
 			instances, traces, tree := testFixture(t)
 			o, err := NewOnlineWithPolicy(tree, traces, policy)
@@ -165,9 +179,9 @@ func TestOnlineMissingTrace(t *testing.T) {
 
 func TestOnlineDeterministicReplay(t *testing.T) {
 	for _, mk := range []func() OnlinePolicy{
-		func() OnlinePolicy { return NewOnlineRandom(11) },
-		func() OnlinePolicy { return OnlineBestFit{} },
-		func() OnlinePolicy { return OnlineAsynchrony{} },
+		func() OnlinePolicy { return mustPolicy(t, PolicyConfig{Kind: PolicyRandom, Seed: 11}) },
+		func() OnlinePolicy { return mustPolicy(t, PolicyConfig{Kind: PolicyBestFit}) },
+		func() OnlinePolicy { return mustPolicy(t, PolicyConfig{}) },
 	} {
 		run := func() map[string]string {
 			instances, traces, tree := testFixture(t)

@@ -12,14 +12,10 @@ import (
 
 // Redesigned policy/capacity API.
 //
-// The online placer grew one positional constructor per policy
-// (NewOnlineRandom, OnlineBestFit{}, OnlineAsynchrony{}); multi-resource
-// placement would have doubled that surface again. The redesign collapses
-// policy selection into a single options struct: callers build a
+// Policy selection is a single options struct: callers build a
 // PolicyConfig (kind, seed, FARB weights, optional demand resolver) and
-// hand it to NewOnline; custom implementations plug in through the Custom
-// field or NewOnlineWithPolicy. The old names remain as thin, deprecated
-// constructors so existing callers keep compiling.
+// hand it to NewOnline or NewPolicy; custom implementations plug in
+// through the Custom field or NewOnlineWithPolicy.
 
 // Policy picks which feasible leaf hosts an arriving instance — the
 // redesigned name for OnlinePolicy (kept as an alias for compatibility).
@@ -121,8 +117,8 @@ func (p OnlineFARB) Choose(cands []OnlineCandidate, _ Instance, tr timeseries.Se
 		asyncNorm := 0.0
 		if w.Asynchrony > 0 {
 			asyncNorm = 1 // an empty leaf cannot overlap with anything
-			if len(c.Residents) > 0 {
-				s, err := score.Differential(tr, c.Residents)
+			if c.Count > 0 {
+				s, err := score.DifferentialSum(tr, c.Sum, c.Count)
 				if err != nil {
 					return 0, fmt.Errorf("differential against %q: %w", c.Leaf.Name, err)
 				}

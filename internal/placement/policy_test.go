@@ -40,9 +40,9 @@ func TestNewPolicyKinds(t *testing.T) {
 	if _, err := NewOnlineWithPolicy(nil, nil, nil); !errors.Is(err, ErrNilPolicy) {
 		t.Fatalf("nil policy: %v", err)
 	}
-	// The deprecated thin wrappers still hand back working policies.
-	if NewOnlineBestFit().Name() != "best-fit" || NewOnlineAsynchrony().Name() != "asynchrony" {
-		t.Fatal("deprecated constructors broken")
+	// Every built-in kind hands back a working policy value.
+	if mustPolicy(t, PolicyConfig{Kind: PolicyBestFit}).Name() != "best-fit" || mustPolicy(t, PolicyConfig{}).Name() != "asynchrony" {
+		t.Fatal("built-in policies broken")
 	}
 }
 
@@ -267,7 +267,7 @@ func TestOnlinePowerOnlyEquivalence(t *testing.T) {
 			return NewOnlineWithPolicy(tr, f, OnlineBestFit{})
 		}, PolicyConfig{Kind: PolicyBestFit}},
 		{"random", func(tr *powertree.Node, f TraceFn) (*Online, error) {
-			return NewOnlineWithPolicy(tr, f, NewOnlineRandom(17))
+			return NewOnlineWithPolicy(tr, f, mustPolicy(t, PolicyConfig{Kind: PolicyRandom, Seed: 17}))
 		}, PolicyConfig{Kind: PolicyRandom, Seed: 17}},
 	}
 	for _, v := range variants {

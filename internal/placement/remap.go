@@ -88,14 +88,20 @@ func Remap(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, error
 		return nil, err
 	}
 
-	// Per-node cache of instance IDs, resolved traces and asynchrony score.
-	// Placements only change at the two nodes of an accepted swap, so only
-	// those two entries are ever invalidated; every other node's score is
-	// computed exactly once per Remap instead of once per iteration.
+	// Per-node cache of instance IDs, resolved traces, asynchrony score and
+	// per-instance self-differentials. Placements only change at the two
+	// nodes of an accepted swap, so only those two entries are ever
+	// invalidated; every other node's score is computed exactly once per
+	// Remap instead of once per iteration, and each self-differential at
+	// most once.
 	type nodeState struct {
 		ids []string
 		trs []timeseries.Series
 		s   float64
+		// self[i] is trs[i]'s differential against the node's other traces,
+		// filled on first use (known[i]).
+		self  []float64
+		known []bool
 	}
 	cache := make([]*nodeState, len(nodes))
 	stateOf := func(i int) (*nodeState, error) {
@@ -112,7 +118,11 @@ func Remap(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, error
 			}
 			trs[j] = tr
 		}
-		st := &nodeState{ids: ids, trs: trs, s: math.Inf(1)} // < 2 residents: nothing to defragment
+		st := &nodeState{
+			ids: ids, trs: trs,
+			s:    math.Inf(1), // < 2 residents: nothing to defragment
+			self: make([]float64, len(trs)), known: make([]bool, len(trs)),
+		}
 		if len(trs) >= 2 {
 			s, err := score.Asynchrony(trs...)
 			if err != nil {
@@ -124,16 +134,25 @@ func Remap(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, error
 		return st, nil
 	}
 
-	// differential of a candidate trace against a peer set.
-	diff := func(cand timeseries.Series, peers []timeseries.Series) float64 {
-		if len(peers) == 0 {
+	// diffWithout scores a candidate trace against a node's traces minus
+	// index skip, gathered in order into the reused scratch slice.
+	var scratch []timeseries.Series
+	diffWithout := func(cand timeseries.Series, trs []timeseries.Series, skip int) float64 {
+		if len(trs) < 2 {
 			return math.Inf(1)
 		}
-		d, err := score.Differential(cand, peers)
+		scratch = append(append(scratch[:0], trs[:skip]...), trs[skip+1:]...)
+		d, err := score.Differential(cand, scratch)
 		if err != nil {
 			return math.Inf(-1)
 		}
 		return d
+	}
+	selfDiff := func(st *nodeState, i int) float64 {
+		if !st.known[i] {
+			st.self[i], st.known[i] = diffWithout(st.trs[i], st.trs, i), true
+		}
+		return st.self[i]
 	}
 
 	var swaps []Swap
@@ -164,26 +183,15 @@ func Remap(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, error
 		}
 
 		// 2. Find the instance with the worst differential score there.
-		peersOf := func(trs []timeseries.Series, skip int) []timeseries.Series {
-			peers := make([]timeseries.Series, 0, len(trs)-1)
-			for j, tr := range trs {
-				if j != skip {
-					peers = append(peers, tr)
-				}
-			}
-			return peers
-		}
 		victim, victimDiff := -1, math.Inf(1)
 		for i := range wIDs {
-			d := diff(wTraces[i], peersOf(wTraces, i))
-			if d < victimDiff {
+			if d := selfDiff(worstState, i); d < victimDiff {
 				victimDiff, victim = d, i
 			}
 		}
 		if victim < 0 {
 			break
 		}
-		victimPeers := peersOf(wTraces, victim)
 
 		// 3. Search partner nodes, best-scoring first, for an improving swap.
 		type scored struct {
@@ -224,15 +232,17 @@ func Remap(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, error
 			}
 			for j := range pIDs {
 				attempted++
-				pPeers := peersOf(pTraces, j)
-				// Current differentials.
+				// Post-swap differentials against current ones: the
+				// partner's instance joins worst's peers (A), the victim
+				// joins the partner's (B). B is scored only when A improves.
 				curA := victimDiff
-				curB := diff(pTraces[j], pPeers)
-				// Post-swap differentials: victim joins partner's peers,
-				// partner's instance joins worst's peers.
-				newA := diff(pTraces[j], victimPeers)
-				newB := diff(wTraces[victim], pPeers)
-				if newA > curA && newB > curB {
+				newA := diffWithout(pTraces[j], wTraces, victim)
+				if !(newA > curA) {
+					continue
+				}
+				curB := selfDiff(candState, j)
+				newB := diffWithout(wTraces[victim], pTraces, j)
+				if newB > curB {
 					partnerDemand, err := capGuard.demandFor(pIDs[j])
 					if err != nil {
 						return nil, err

@@ -78,3 +78,15 @@ func BenchmarkMatrix24(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkDifferential16(b *testing.B) {
+	traces := benchTraces(17, 1008, 4)
+	inst, peers := traces[0], traces[1:]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Differential(inst, peers); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -9,6 +9,7 @@ package score
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/timeseries"
 )
@@ -105,15 +106,111 @@ func Vectors(instances []timeseries.Series, straces []timeseries.Series) ([][]fl
 // where PA is the averaged aggregate power trace of the node's other
 // instances: (Σ_{j∈S_N, j≠i} PI_j) / |S_N − 1|. peers must contain the
 // traces of the node's instances excluding i.
+//
+// The score is one fused pass that allocates nothing. Peers are summed per
+// index in peer order and scaled by 1/len(peers), the operations
+// timeseries.Mean performs, so the result is bit-identical to
+// Pairwise(instance, Mean(peers...)), errors included.
 func Differential(instance timeseries.Series, peers []timeseries.Series) (float64, error) {
 	if len(peers) == 0 {
 		return 0, ErrNoTraces
 	}
-	avg, err := timeseries.Mean(peers...)
-	if err != nil {
-		return 0, fmt.Errorf("score: averaging %d peers: %w", len(peers), err)
+	for _, p := range peers[1:] {
+		if err := alignment(peers[0], p); err != nil {
+			return 0, fmt.Errorf("score: averaging %d peers: %w", len(peers), err)
+		}
 	}
-	return Pairwise(instance, avg)
+	return differential(instance, peers, 1/float64(len(peers)))
+}
+
+// DifferentialSum is Differential with the peers given as their
+// element-wise sum peerSum and their count n: the score needs only that
+// sum, which a caller maintaining node aggregates already holds. When
+// peerSum is timeseries.Sum(peers...) the result is bit-identical to
+// Differential(instance, peers). n ≤ 0 is ErrNoTraces.
+func DifferentialSum(instance, peerSum timeseries.Series, n int) (float64, error) {
+	if n <= 0 {
+		return 0, ErrNoTraces
+	}
+	one := [1]timeseries.Series{peerSum}
+	return differential(instance, one[:], 1/float64(n))
+}
+
+// diffBlock is the stripe length the differential kernel sums peers over.
+// The stripe lives on the stack, so the pass allocates nothing while every
+// peer is still read sequentially.
+const diffBlock = 256
+
+// differential is the fused kernel behind Differential and DifferentialSum.
+// peers are non-empty and mutually aligned; their per-index sum scaled by k
+// is the averaged peer trace avg. One pass finds peak(instance), peak(avg)
+// and peak(instance + avg) with the same "v > max" scans Series.Peak uses,
+// and the checks run in Asynchrony's order: instance peak, avg peak,
+// alignment, aggregate peak.
+func differential(instance timeseries.Series, peers []timeseries.Series, k float64) (float64, error) {
+	n := peers[0].Len()
+	fused := instance.Len() == n
+	ip, ap, gp := math.Inf(-1), math.Inf(-1), math.Inf(-1)
+	var buf [diffBlock]float64
+	for lo := 0; lo < n; lo += diffBlock {
+		acc := buf[:min(diffBlock, n-lo)]
+		copy(acc, peers[0].Values[lo:])
+		for _, p := range peers[1:] {
+			for i, v := range p.Values[lo : lo+len(acc)] {
+				acc[i] += v
+			}
+		}
+		if !fused {
+			for _, s := range acc {
+				if a := float64(s * k); a > ap {
+					ap = a
+				}
+			}
+			continue
+		}
+		for i, v := range instance.Values[lo : lo+len(acc)] {
+			// The conversion rounds the product before the add, as the
+			// separate Scale pass of the Mean path does.
+			a := float64(acc[i] * k)
+			if a > ap {
+				ap = a
+			}
+			if v > ip {
+				ip = v
+			}
+			if s := v + a; s > gp {
+				gp = s
+			}
+		}
+	}
+	if !fused {
+		ip = instance.Peak()
+	}
+	if ip <= 0 {
+		return 0, fmt.Errorf("%w (index 0)", ErrZeroPeak)
+	}
+	if ap <= 0 {
+		return 0, fmt.Errorf("%w (index 1)", ErrZeroPeak)
+	}
+	if err := alignment(instance, peers[0]); err != nil {
+		return 0, fmt.Errorf("score: aggregating trace 1: %w", err)
+	}
+	if gp <= 0 {
+		return 0, ErrZeroPeak
+	}
+	return (ip + ap) / gp, nil
+}
+
+// alignment is the precondition of timeseries' element-wise arithmetic:
+// equal length first, then equal step.
+func alignment(a, b timeseries.Series) error {
+	if a.Len() != b.Len() {
+		return timeseries.ErrLenMismatch
+	}
+	if a.Step != b.Step {
+		return timeseries.ErrMisaligned
+	}
+	return nil
 }
 
 // ServiceTraces builds the S-trace (Eq. 5) for each named service: the mean
