@@ -154,6 +154,7 @@ fuzz:
 	$(GO) test -run=XXX -fuzz=FuzzReadCSV -fuzztime=10s ./internal/timeseries/
 	$(GO) test -run=XXX -fuzz=FuzzSeriesJSON -fuzztime=10s ./internal/timeseries/
 	$(GO) test -run=XXX -fuzz=FuzzLoadTree -fuzztime=10s ./internal/powertree/
+	$(GO) test -run=XXX -fuzz=FuzzUsage -fuzztime=10s ./internal/powertree/
 	$(GO) test -run=XXX -fuzz=FuzzDifferential -fuzztime=10s ./internal/score/
 
 # fuzz-short is a bounded smoke pass over every fuzz target, cheap enough
@@ -162,6 +163,7 @@ fuzz-short:
 	$(GO) test -run=XXX -fuzz=FuzzReadCSV -fuzztime=5s ./internal/timeseries/
 	$(GO) test -run=XXX -fuzz=FuzzSeriesJSON -fuzztime=5s ./internal/timeseries/
 	$(GO) test -run=XXX -fuzz=FuzzLoadTree -fuzztime=5s ./internal/powertree/
+	$(GO) test -run=XXX -fuzz=FuzzUsage -fuzztime=5s ./internal/powertree/
 	$(GO) test -run=XXX -fuzz=FuzzDifferential -fuzztime=5s ./internal/score/
 
 clean:

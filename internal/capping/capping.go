@@ -20,6 +20,7 @@ import (
 	"sort"
 
 	"repro/internal/powertree"
+	"repro/internal/timeseries"
 )
 
 // Priority orders workload classes for shedding: higher values shed first.
@@ -62,6 +63,21 @@ type InstanceState struct {
 
 // Reader supplies the controller with the current state of an instance.
 type Reader func(instanceID string) (InstanceState, bool)
+
+// PeakReader views a window of instance traces as capping state: each
+// instance draws its window peak and can be throttled to half of it, all
+// backend-class (callers have no workload-class channel). Instances with no
+// or an empty trace are unknown to the controller.
+func PeakReader(traces map[string]timeseries.Series) Reader {
+	return func(id string) (InstanceState, bool) {
+		tr, ok := traces[id]
+		if !ok || tr.Len() == 0 {
+			return InstanceState{}, false
+		}
+		p := tr.Peak()
+		return InstanceState{Power: p, MinPower: 0.5 * p, Priority: PriorityBackend}, true
+	}
+}
 
 // Config tunes the controller.
 type Config struct {

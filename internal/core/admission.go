@@ -343,10 +343,12 @@ func (r *Runtime) FragmentationRates() ([]metrics.FragmentationRow, error) {
 }
 
 // MultiFragmentationRates is FragmentationRates extended with per-dimension
-// stranded-capacity rows (metrics.MultiFragmentationRates), resolving
-// instance demands the same way placement does: admission-time demands from
-// the runtime's ledger win, then any resolver configured via
-// RuntimeConfig.Placement.Demands. On a power-only tree — no declared
+// stranded-capacity rows (metrics.MultiFragmentationRates). When an
+// admission view is live it reads the view's maintained snapshot and
+// capacity ledger; otherwise it aggregates the last Bootstrap/Tick traces
+// and builds a ledger the way placement resolves demands (admission-time
+// demands from the runtime's ledger win, then any resolver configured via
+// RuntimeConfig.Placement.Demands). On a power-only tree — no declared
 // capacities, or no known demands — it returns exactly the power rows.
 func (r *Runtime) MultiFragmentationRates() ([]metrics.FragmentationRow, error) {
 	r.mu.Lock()
@@ -354,6 +356,17 @@ func (r *Runtime) MultiFragmentationRates() ([]metrics.FragmentationRow, error) 
 	if !r.placed {
 		return nil, ErrNotPlaced
 	}
-	// The demand closure is only invoked inside this call, under mu.
-	return metrics.MultiFragmentationRates(r.tree, workload.SubPowerFn(r.traceView()), r.placementCfg().Demands)
+	if r.online != nil {
+		return metrics.MultiFragmentationRates(r.online.Snapshot(), r.online.Usage())
+	}
+	aggs, err := r.tree.AggregateAll(workload.SubPowerFn(r.traces))
+	if err != nil {
+		return nil, fmt.Errorf("core: aggregating for fragmentation: %w", err)
+	}
+	// The demand closure is only invoked inside NewUsage, under mu.
+	usage, err := powertree.NewUsage(r.tree, r.placementCfg().Demands)
+	if err != nil {
+		return nil, err
+	}
+	return metrics.MultiFragmentationRates(aggs, usage)
 }

@@ -6,7 +6,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
+	"repro/internal/obs"
 	"repro/internal/timeseries"
 )
 
@@ -21,7 +23,7 @@ func TestAdmitRetireChurnStaysBounded(t *testing.T) {
 	rt, _, held, trainEnd := admissionFixture(t)
 	healthy := held[0]
 	const ghost = "ghost-churn" // never reported: quarantined on admission
-	h := HTTPHandler(rt)
+	h := HTTPHandlerWithPlanner(rt, nil, time.Now, obs.Default())
 	for i := 0; i < 2000; i++ {
 		if _, err := rt.AdmitInstance(healthy.ID, healthy.Service, trainEnd, 2); err != nil {
 			t.Fatalf("cycle %d: admit %q: %v", i, healthy.ID, err)

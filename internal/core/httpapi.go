@@ -19,8 +19,8 @@ import (
 	"repro/internal/powertree"
 )
 
-// HTTPHandler exposes a runtime's state over HTTP for dashboards and
-// debugging. The API is versioned under /v1/:
+// HTTPHandlerWithPlanner exposes a runtime's state over HTTP for
+// dashboards and debugging. The API is versioned under /v1/:
 //
 //	GET    /v1/health          — liveness plus degradation state: ok|degraded,
 //	                             quarantined instances, active trip windows,
@@ -63,41 +63,24 @@ import (
 // the runtime's serialized admission path. Ingestion and ticking stay with
 // the owner.
 //
-// The status timestamp comes from the injected clock; HTTPHandler is the
-// serving wrapper that pins it to the wall clock, which keeps the
-// deterministic pipeline free of ambient time reads while tests pass a
-// fixed clock through HTTPHandlerWithClock.
-func HTTPHandler(rt *Runtime) http.Handler {
-	return HTTPHandlerWithClock(rt, time.Now) //lint:allow nondeterminism serving boundary: wall clock is the point
-}
-
-// HTTPHandlerWithClock is HTTPHandler with an explicit time source. Metrics
-// (request/error counters and the /metrics exposition) come from the
-// process-global obs registry.
-func HTTPHandlerWithClock(rt *Runtime, now func() time.Time) http.Handler {
-	return HTTPHandlerWithObs(rt, now, obs.Default())
-}
-
-// HTTPHandlerWithObs is HTTPHandlerWithClock with an explicit metrics
-// registry: /metrics serves reg, and the API's own request/error counters
-// register there. Tests use a fresh registry per handler to keep the
-// exposition independent of other activity in the process. The planning
-// service behind /v1/plan runs with default limits; use
-// HTTPHandlerWithPlanner to tune them.
-func HTTPHandlerWithObs(rt *Runtime, now func() time.Time, reg *obs.Registry) http.Handler {
-	// The zero config is always valid and rt.PlanSnapshot is non-nil, so
-	// construction cannot fail here.
-	planner, err := plan.NewService(rt.PlanSnapshot, plan.Config{})
-	if err != nil {
-		panic(err)
-	}
-	return HTTPHandlerWithPlanner(rt, planner, now, reg)
-}
-
-// HTTPHandlerWithPlanner is HTTPHandlerWithObs with an explicit planning
-// service (the daemon builds one from its -plan-max-inflight and
-// -plan-deadline flags; tests pin tiny limits to exercise shedding).
+// The status timestamp comes from the injected clock now, which keeps the
+// deterministic pipeline free of ambient time reads: servers pass time.Now,
+// tests a fixed clock. /v1/metrics serves reg, and the API's own
+// request/error counters register there; tests use a fresh registry per
+// handler to keep the exposition independent of other activity in the
+// process. planner is the service behind /v1/plan (the daemon builds one
+// from its -plan-max-inflight and -plan-deadline flags; tests pin tiny
+// limits to exercise shedding); nil means plan.NewService(rt.PlanSnapshot,
+// plan.Config{}), the default limits.
 func HTTPHandlerWithPlanner(rt *Runtime, planner *plan.Service, now func() time.Time, reg *obs.Registry) http.Handler {
+	if planner == nil {
+		// The zero config is always valid and rt.PlanSnapshot is non-nil,
+		// so construction cannot fail here.
+		var err error
+		if planner, err = plan.NewService(rt.PlanSnapshot, plan.Config{}); err != nil {
+			panic(err)
+		}
+	}
 	api := &httpAPI{
 		rt:      rt,
 		planner: planner,

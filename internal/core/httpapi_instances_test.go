@@ -26,7 +26,7 @@ func instancesFixture(t *testing.T) (*httptest.Server, *obs.Registry, []heldOut,
 	rt, _, held, trainEnd := admissionFixture(t)
 	clock := func() time.Time { return trainEnd }
 	reg := obs.NewWithClock(clock)
-	srv := httptest.NewServer(HTTPHandlerWithObs(rt, clock, reg))
+	srv := httptest.NewServer(HTTPHandlerWithPlanner(rt, nil, clock, reg))
 	t.Cleanup(srv.Close)
 	outs := make([]heldOut, len(held))
 	for i, inst := range held {
@@ -193,7 +193,7 @@ func TestHTTPInstancesAdmitRetire(t *testing.T) {
 func TestHTTPInstancesSkewedWallClock(t *testing.T) {
 	rt, _, held, trainEnd := admissionFixture(t)
 	clock := func() time.Time { return trainEnd.Add(10 * 365 * 24 * time.Hour) }
-	srv := httptest.NewServer(HTTPHandlerWithObs(rt, clock, obs.NewWithClock(clock)))
+	srv := httptest.NewServer(HTTPHandlerWithPlanner(rt, nil, clock, obs.NewWithClock(clock)))
 	t.Cleanup(srv.Close)
 
 	body, _ := json.Marshal(map[string]string{"id": held[0].ID, "service": held[0].Service})

@@ -9,13 +9,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/powertree"
 )
 
 func TestHTTPHandler(t *testing.T) {
 	rt, instances, _, trainEnd := runtimeFixture(t)
-	srv := httptest.NewServer(HTTPHandler(rt))
+	srv := httptest.NewServer(HTTPHandlerWithPlanner(rt, nil, time.Now, obs.Default()))
 	defer srv.Close()
 
 	get := func(path string) (*http.Response, string) {

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // TestHTTPV1RoutesAndLegacyAliases checks the versioned API contract: every
@@ -116,7 +118,7 @@ func TestHTTPErrorEnvelope(t *testing.T) {
 func TestHTTPV1HealthDegradation(t *testing.T) {
 	rt, instances, trainEnd := degradeFixture(t, RuntimeConfig{}, 500, 3, map[string]bool{"d": true})
 	clock := func() time.Time { return time.Date(2016, 8, 22, 0, 0, 0, 0, time.UTC) }
-	srv := httptest.NewServer(HTTPHandlerWithClock(rt, clock))
+	srv := httptest.NewServer(HTTPHandlerWithPlanner(rt, nil, clock, obs.Default()))
 	defer srv.Close()
 
 	getHealth := func() (status string, quarantined []string) {

@@ -18,9 +18,10 @@ import (
 // request.
 
 // PlanSnapshot returns the current placement as a plan.Snapshot: a private
-// clone of the tree plus the freshest trace view (the cached admission view
+// clone of the tree, the freshest trace view (the cached admission view
 // when one is live, otherwise the latest Bootstrap/Tick traces — the same
-// preference order as FragmentationRates). The snapshot is immutable; the
+// preference order as FragmentationRates) and the residents' declared
+// demands. The snapshot is immutable; the
 // runtime may keep mutating after the capture without affecting it.
 func (r *Runtime) PlanSnapshot() (*plan.Snapshot, error) {
 	r.mu.Lock()
@@ -31,7 +32,10 @@ func (r *Runtime) PlanSnapshot() (*plan.Snapshot, error) {
 	if r.planSnap != nil {
 		return r.planSnap, nil
 	}
-	snap, err := plan.NewSnapshot(r.tree, r.traceView(), r.services, r.evalAsOf, r.store.Step())
+	// Residents' demands resolve the way placement resolves them; with no
+	// ledger entries and no configured resolver there is nothing to copy.
+	// The resolver is only invoked inside NewSnapshot, under mu.
+	snap, err := plan.NewSnapshot(r.tree, r.traceView(), r.services, r.placementCfg().Demands, r.evalAsOf, r.store.Step())
 	if err != nil {
 		return nil, fmt.Errorf("core: plan snapshot: %w", err)
 	}

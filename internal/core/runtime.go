@@ -671,7 +671,7 @@ func (r *Runtime) emergencyStep(rep *DriftReport, from, asOf time.Time, fresh ma
 			return nominal[node] * f, true
 		}
 	}
-	throttles, events, err := r.capper.StepWithBudgets(peakReader(fresh), override)
+	throttles, events, err := r.capper.StepWithBudgets(capping.PeakReader(fresh), override)
 	if err != nil {
 		return err
 	}
@@ -703,18 +703,4 @@ func (r *Runtime) breakersUnder(factor map[string]float64, fresh map[string]time
 		}
 	})
 	return r.tree.CheckBreakers(powertree.PowerFn(workload.SubPowerFn(fresh)), 2*r.store.Step())
-}
-
-// peakReader views a window's traces as capping state: an instance draws
-// its window peak and can be throttled to half of it; everything is
-// backend-class (the runtime has no workload-class channel yet).
-func peakReader(fresh map[string]timeseries.Series) capping.Reader {
-	return func(id string) (capping.InstanceState, bool) {
-		tr, ok := fresh[id]
-		if !ok || tr.Len() == 0 {
-			return capping.InstanceState{}, false
-		}
-		p := tr.Peak()
-		return capping.InstanceState{Power: p, MinPower: 0.5 * p, Priority: capping.PriorityBackend}, true
-	}
 }

@@ -201,20 +201,19 @@ func MultiDimSweep(name workload.DCName, opt Options) ([]MultiDimRow, error) {
 		}
 		snap := o.Snapshot()
 		row.SumLeafPeaks = snap.SumOfPeaks(powertree.RPP)
-		// The probe is a half-demand arrival: it fits any leaf hosting at
-		// most one gpu user, so the only leaves it exposes as stranded are
-		// the gpu-overcommitted ones — plenty of power headroom, no gpu.
-		row.StrandedNodes, err = metrics.StrandedNodeCount(snap, demandFn,
-			powertree.RPP, 0, powertree.ResourceVector{"gpu": gpuProbe})
+		// Both policies are scored against the true demand ledger, not the
+		// placer's own: the power-only placer records no demands at all.
+		usage, err := powertree.NewUsage(tree, demandFn)
 		if err != nil {
 			return MultiDimRow{}, err
 		}
+		// The probe is a half-demand arrival: it fits any leaf hosting at
+		// most one gpu user, so the only leaves it exposes as stranded are
+		// the gpu-overcommitted ones — plenty of power headroom, no gpu.
+		row.StrandedNodes = metrics.StrandedNodeCount(snap, usage,
+			powertree.RPP, 0, powertree.ResourceVector{"gpu": gpuProbe})
 		for _, leaf := range tree.Leaves() {
-			var used float64
-			for _, id := range leaf.Instances {
-				used += demands[id].Get("gpu")
-			}
-			if used > leaf.Capacities.Get("gpu") {
+			if usage.Used(leaf).Get("gpu") > leaf.Capacities.Get("gpu") {
 				row.GpuOverfull++
 			}
 		}

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/powertree"
@@ -24,32 +23,21 @@ import (
 // (its subtree passes demand through unbounded), mirroring the partial-
 // declaration rule of powertree.Node.Capacities.
 
-// MultiFragmentationRates extends FragmentationRates with one row per
-// (level, capacity dimension): the canonical power rows come first (in
+// MultiFragmentationRates extends FragmentationRatesFrom with one row per
+// (level, capacity dimension), computed from an aggregation snapshot and
+// the tree's capacity ledger: the canonical power rows come first (in
 // level order), then each declared dimension's rows in ascending dimension
-// order. demands resolves instance IDs to their demand vectors (the
-// placement.DemandFn shape); a nil resolver or a tree with no declared
-// capacities yields exactly the power rows. Levels where no node declares a
-// dimension are skipped for that dimension.
-func MultiFragmentationRates(tree *powertree.Node, traces powertree.PowerFn, demands func(id string) (powertree.ResourceVector, bool)) ([]FragmentationRow, error) {
-	rows, err := FragmentationRates(tree, traces)
+// order. A tree with no declared capacities yields exactly the power rows;
+// a nil ledger counts no demand. Levels where no node declares a dimension
+// are skipped for that dimension.
+func MultiFragmentationRates(aggs *powertree.Aggregates, usage *powertree.Usage) ([]FragmentationRow, error) {
+	tree := aggs.Root()
+	rows, err := FragmentationRatesFrom(tree, aggs)
 	if err != nil {
 		return nil, err
 	}
-	dims := treeDimensions(tree)
-	if len(dims) == 0 {
-		return rows, nil
-	}
-	used, err := subtreeDemands(tree, demands)
-	if err != nil {
-		return nil, err
-	}
-	for _, dim := range dims {
-		dimRows, err := dimensionRows(tree, dim, used)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, dimRows...)
+	for _, dim := range treeDimensions(tree) {
+		rows = append(rows, dimensionRows(tree, dim, usage)...)
 	}
 	return rows, nil
 }
@@ -64,27 +52,8 @@ func treeDimensions(tree *powertree.Node) []string {
 	return sum.Dimensions()
 }
 
-// subtreeDemands sums every node's subtree demand through the resolver,
-// validating each placed instance's demand vector. A nil resolver yields an
-// empty map (all-zero usage).
-func subtreeDemands(tree *powertree.Node, demands func(id string) (powertree.ResourceVector, bool)) (map[*powertree.Node]powertree.ResourceVector, error) {
-	if demands == nil {
-		return map[*powertree.Node]powertree.ResourceVector{}, nil
-	}
-	return powertree.SubtreeDemands(tree, func(id string) (powertree.ResourceVector, error) {
-		d, ok := demands(id)
-		if !ok || len(d) == 0 {
-			return nil, nil
-		}
-		if err := d.Validate(); err != nil {
-			return nil, fmt.Errorf("metrics: demand for instance %q: %w", id, err)
-		}
-		return d, nil
-	})
-}
-
 // dimensionRows builds the per-level rows for one capacity dimension.
-func dimensionRows(tree *powertree.Node, dim string, used map[*powertree.Node]powertree.ResourceVector) ([]FragmentationRow, error) {
+func dimensionRows(tree *powertree.Node, dim string, usage *powertree.Usage) []FragmentationRow {
 	// admissible(n) through the subtree for this dimension; +Inf means the
 	// subtree imposes no constraint (no declarations below or at n).
 	admissible := make(map[*powertree.Node]float64)
@@ -101,7 +70,7 @@ func dimensionRows(tree *powertree.Node, dim string, used map[*powertree.Node]po
 		if !declared {
 			return below
 		}
-		head := limit - used[n].Get(dim)
+		head := limit - usage.Used(n).Get(dim)
 		if head < 0 {
 			head = 0
 		}
@@ -122,7 +91,7 @@ func dimensionRows(tree *powertree.Node, dim string, used map[*powertree.Node]po
 				continue
 			}
 			declared = true
-			head := limit - used[n].Get(dim)
+			head := limit - usage.Used(n).Get(dim)
 			if head < 0 {
 				head = 0
 			}
@@ -139,7 +108,7 @@ func dimensionRows(tree *powertree.Node, dim string, used map[*powertree.Node]po
 		}
 		out = append(out, row)
 	}
-	return out, nil
+	return out
 }
 
 // StrandedNodeCount reports how many nodes at a level are stranded for the
@@ -148,26 +117,22 @@ func dimensionRows(tree *powertree.Node, dim string, used map[*powertree.Node]po
 // given demand because some other dimension (or an ancestor) is exhausted.
 // It is the node-granularity companion to the rate rows — the quantity the
 // multi-dimension experiment drives down — computed from an aggregation
-// snapshot of the tree against a probe of probePower watts and probeDemand
-// (nil means power-only probing).
-func StrandedNodeCount(aggs *powertree.Aggregates, demands func(id string) (powertree.ResourceVector, bool), level powertree.Level, probePower float64, probeDemand powertree.ResourceVector) (int, error) {
-	used, err := subtreeDemands(aggs.Root(), demands)
-	if err != nil {
-		return 0, err
-	}
+// snapshot of the tree and its capacity ledger against a probe of
+// probePower watts and probeDemand (nil means power-only probing).
+func StrandedNodeCount(aggs *powertree.Aggregates, usage *powertree.Usage, level powertree.Level, probePower float64, probeDemand powertree.ResourceVector) int {
 	fits := func(n *powertree.Node) bool {
 		for m := n; m != nil; m = m.Parent() {
-			if aggs.Peak(m)+probePower > m.Budget || !m.CapacityFits(used[m], probeDemand, nil) {
+			if aggs.Peak(m)+probePower > m.Budget {
 				return false
 			}
 		}
-		return true
+		return usage.PathFits(n, nil, probeDemand, nil)
 	}
 	count := 0
 	for _, n := range aggs.NodesAtLevel(level) {
 		headroom := n.Budget-aggs.Peak(n) > 0
 		for _, dim := range n.Capacities.Dimensions() {
-			if n.Capacities[dim]-used[n].Get(dim) > 0 {
+			if n.Capacities[dim]-usage.Used(n).Get(dim) > 0 {
 				headroom = true
 			}
 		}
@@ -175,5 +140,5 @@ func StrandedNodeCount(aggs *powertree.Aggregates, demands func(id string) (powe
 			count++
 		}
 	}
-	return count, nil
+	return count
 }

@@ -30,6 +30,20 @@ func demandTable(d map[string]powertree.ResourceVector) func(string) (powertree.
 	}
 }
 
+// multiRates aggregates the tree and builds its capacity ledger from the
+// demand resolver, then reports MultiFragmentationRates over both.
+func multiRates(tree *powertree.Node, traces powertree.PowerFn, demands func(string) (powertree.ResourceVector, bool)) ([]FragmentationRow, error) {
+	aggs, err := tree.AggregateAll(traces)
+	if err != nil {
+		return nil, err
+	}
+	usage, err := powertree.NewUsage(tree, demands)
+	if err != nil {
+		return nil, err
+	}
+	return MultiFragmentationRates(aggs, usage)
+}
+
 func TestMultiFragmentationRates(t *testing.T) {
 	traces := map[string]timeseries.Series{
 		"a": fragSeries(50, 50), "b": fragSeries(50, 50),
@@ -48,7 +62,7 @@ func TestMultiFragmentationRates(t *testing.T) {
 	if err := leaves[1].Attach("b"); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := MultiFragmentationRates(tree, fragLookup(traces), demandTable(demands))
+	rows, err := multiRates(tree, fragLookup(traces), demandTable(demands))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +123,7 @@ func TestMultiFragmentationStrandedByAncestor(t *testing.T) {
 	if err := tree.Leaves()[0].Attach("a"); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := MultiFragmentationRates(tree, fragLookup(traces), demandTable(demands))
+	rows, err := multiRates(tree, fragLookup(traces), demandTable(demands))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +164,7 @@ func TestMultiFragmentationPowerOnlyPassThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MultiFragmentationRates(tree, fragLookup(traces), nil)
+	got, err := multiRates(tree, fragLookup(traces), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +182,7 @@ func TestMultiFragmentationPowerOnlyPassThrough(t *testing.T) {
 	if err := multi.Leaves()[0].Attach("a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MultiFragmentationRates(multi, fragLookup(traces), bad); !errors.Is(err, powertree.ErrBadDimension) {
+	if _, err := multiRates(multi, fragLookup(traces), bad); !errors.Is(err, powertree.ErrBadDimension) {
 		t.Fatalf("invalid demand: %v", err)
 	}
 }
@@ -195,20 +209,18 @@ func TestStrandedNodeCount(t *testing.T) {
 	}
 	// Probe: a modest instance needing 1 net. Leaves 0 and 1 have plenty of
 	// power headroom but zero free net → stranded. Leaves 2 and 3 admit it.
-	n, err := StrandedNodeCount(aggs, demandTable(demands),
-		powertree.RPP, 5, powertree.ResourceVector{"net": 1})
+	usage, err := powertree.NewUsage(tree, demandTable(demands))
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := StrandedNodeCount(aggs, usage,
+		powertree.RPP, 5, powertree.ResourceVector{"net": 1})
 	if n != 2 {
 		t.Fatalf("stranded leaves = %d, want 2", n)
 	}
 	// A power-only probe sees no stranding (all leaves have power headroom).
-	n, err = StrandedNodeCount(aggs, demandTable(demands),
+	n = StrandedNodeCount(aggs, usage,
 		powertree.RPP, 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if n != 0 {
 		t.Fatalf("power-only stranded leaves = %d, want 0", n)
 	}

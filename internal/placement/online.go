@@ -26,7 +26,6 @@ var (
 	ErrNoCapacity      = errors.New("placement: no leaf can admit the instance without a breaker violation")
 	ErrAlreadyAdmitted = errors.New("placement: instance already admitted")
 	ErrUnknownInstance = errors.New("placement: instance not admitted")
-	ErrNilPolicy       = errors.New("placement: online placer needs a policy")
 )
 
 // OnlineCandidate is one feasible leaf offered to an online policy.
@@ -83,21 +82,19 @@ type OnlinePlacer interface {
 // attaches or detaches one instance, marks its leaf dirty and lets the
 // Aggregator re-fold that leaf and re-combine its root path. No full-tree
 // re-aggregation ever happens after construction, and every aggregate is
-// bit-identical to a fresh AggregateAll of the same tree.
+// bit-identical to a fresh AggregateAll of the same tree. Demand vectors and
+// subtree demand sums live alongside, in one powertree.Usage refreshed along
+// the same root paths.
 type Online struct {
-	tree    *powertree.Node
-	traces  TraceFn
-	policy  OnlinePolicy
-	demands DemandFn
+	tree   *powertree.Node
+	traces TraceFn
+	policy OnlinePolicy
 
 	// agg maintains every node's aggregate power trace.
 	agg *powertree.Aggregator
-	// demandOf records each known instance's resolved demand vector (absent
-	// = power-only); used holds each node's subtree demand
-	// (powertree.SubtreeDemands), the capacity-dimension analogue of the
-	// aggregates. Both stay empty on power-only trees.
-	demandOf map[string]powertree.ResourceVector
-	used     map[*powertree.Node]powertree.ResourceVector
+	// usage is the capacity ledger: every instance's demand vector and
+	// every node's subtree demand. It stays empty on power-only trees.
+	usage *powertree.Usage
 	// residentIDs holds per-leaf instance IDs parallel to leaf.Instances —
 	// the placer's own record of who it thinks lives on each leaf, which
 	// Resync diffs against the tree after an external move.
@@ -117,21 +114,6 @@ func NewOnline(tree *powertree.Node, traces TraceFn, cfg PolicyConfig) (*Online,
 	if err != nil {
 		return nil, err
 	}
-	return newOnline(tree, traces, policy, cfg.Demands)
-}
-
-// NewOnlineWithPolicy wraps a live tree using a caller-implemented Policy
-// value directly. Prefer NewOnline with PolicyConfig{Custom: policy,
-// Demands: fn}, which can also install a demand resolver; this constructor
-// installs none.
-func NewOnlineWithPolicy(tree *powertree.Node, traces TraceFn, policy Policy) (*Online, error) {
-	return newOnline(tree, traces, policy, nil)
-}
-
-func newOnline(tree *powertree.Node, traces TraceFn, policy Policy, demands DemandFn) (*Online, error) {
-	if policy == nil {
-		return nil, ErrNilPolicy
-	}
 	leaves := tree.Leaves()
 	if len(leaves) == 0 {
 		return nil, ErrNoLeaves
@@ -140,8 +122,6 @@ func newOnline(tree *powertree.Node, traces TraceFn, policy Policy, demands Dema
 		tree:        tree,
 		traces:      traces,
 		policy:      policy,
-		demands:     demands,
-		demandOf:    make(map[string]powertree.ResourceVector),
 		residentIDs: make(map[*powertree.Node][]string, len(leaves)),
 		leafOf:      make(map[string]*powertree.Node),
 	}
@@ -155,7 +135,7 @@ func newOnline(tree *powertree.Node, traces TraceFn, policy Policy, demands Dema
 		return nil, fmt.Errorf("placement: aggregating the live tree: %w", err)
 	}
 	o.agg = agg
-	if o.used, err = powertree.SubtreeDemands(tree, o.demandFor); err != nil {
+	if o.usage, err = powertree.NewUsage(tree, cfg.Demands); err != nil {
 		return nil, err
 	}
 	return o, nil
@@ -183,44 +163,11 @@ func (o *Online) Leaf(id string) (*powertree.Node, bool) {
 	return leaf, ok
 }
 
-// Used returns the node's accumulated capacity-dimension demand — the
-// per-dimension sum over the subtree's residents (nil when nothing in the
-// subtree demands anything beyond power). The vector is owned by the placer
-// and must not be mutated.
-func (o *Online) Used(n *powertree.Node) powertree.ResourceVector { return o.used[n] }
-
-// Demand reports the demand vector on record for an admitted (or
-// pre-existing) instance; ok is false for unknown or power-only instances.
-// The vector is owned by the placer and must not be mutated.
-func (o *Online) Demand(id string) (powertree.ResourceVector, bool) {
-	d, ok := o.demandOf[id]
-	return d, ok
-}
-
-// demandFor resolves an instance to the demand on record, for
-// powertree.SubtreeDemands and RefreshDemand.
-func (o *Online) demandFor(id string) (powertree.ResourceVector, error) {
-	return o.demandOf[id], nil
-}
-
-// resolveDemand resolves an instance's demand vector — the inline vector
-// from the Instance itself wins, then the placer's DemandFn — validating
-// and defensively cloning it. Nil means power-only.
-func (o *Online) resolveDemand(id string, inline powertree.ResourceVector) (powertree.ResourceVector, error) {
-	d := inline
-	if d == nil && o.demands != nil {
-		if v, ok := o.demands(id); ok {
-			d = v
-		}
-	}
-	if len(d) == 0 {
-		return nil, nil
-	}
-	if err := d.Validate(); err != nil {
-		return nil, fmt.Errorf("placement: demand for instance %q: %w", id, err)
-	}
-	return d.Clone(), nil
-}
+// Usage returns the placer's capacity ledger: each admitted (or
+// pre-existing) instance's demand vector and every node's subtree demand.
+// It is owned by the placer and changes only through Admit, Retire and
+// Resync; callers read it.
+func (o *Online) Usage() *powertree.Usage { return o.usage }
 
 // snapshotLeaf (re)builds one leaf's resident ID record from the tree's
 // current leaf.Instances, checking each resident's trace resolves and
@@ -233,26 +180,13 @@ func (o *Online) snapshotLeaf(leaf *powertree.Node) error {
 		}
 		ids = append(ids, id)
 		o.leafOf[id] = leaf
-		// Demands recorded at admission (possibly inline on the Instance)
-		// survive resyncs; only unseen residents consult the DemandFn.
-		if _, ok := o.demandOf[id]; !ok {
-			d, err := o.resolveDemand(id, nil)
-			if err != nil {
-				return err
-			}
-			if d != nil {
-				o.demandOf[id] = d
-			}
-		}
 	}
 	o.residentIDs[leaf] = ids
 	return nil
 }
 
 // refresh folds churn on the given leaves into the aggregates and the
-// subtree demands along their root paths. Shared ancestors are refreshed
-// more than once; RefreshDemand is idempotent so the extra passes only cost
-// time, and power-only placers skip the demand half entirely.
+// capacity ledger along their root paths.
 func (o *Online) refresh(leaves ...*powertree.Node) error {
 	if err := o.agg.MarkDirty(leaves...); err != nil {
 		return err
@@ -260,16 +194,7 @@ func (o *Online) refresh(leaves ...*powertree.Node) error {
 	if _, err := o.agg.Update(); err != nil {
 		return fmt.Errorf("placement: updating aggregates: %w", err)
 	}
-	if len(o.demandOf) == 0 && len(o.used) == 0 {
-		return nil
-	}
-	for _, leaf := range leaves {
-		for n := leaf; n != nil; n = n.Parent() {
-			if err := powertree.RefreshDemand(o.used, n, o.demandFor); err != nil {
-				return err
-			}
-		}
-	}
+	o.usage.Refresh(leaves...)
 	return nil
 }
 
@@ -302,8 +227,13 @@ func (o *Online) Resync(leaves ...*powertree.Node) error {
 		}
 	}
 	// Phase 2: re-snapshot residents from the tree's current placement.
+	// Demands on record (possibly inline at admission) survive; only unseen
+	// residents consult the resolver.
 	for _, leaf := range leaves {
 		if err := o.snapshotLeaf(leaf); err != nil {
+			return err
+		}
+		if err := o.usage.Learn(leaf); err != nil {
 			return err
 		}
 	}
@@ -343,7 +273,7 @@ func (o *Online) residualFractions(leaf *powertree.Node, headroom float64, deman
 	if len(leaf.Capacities) == 0 {
 		return res
 	}
-	used := o.used[leaf]
+	used := o.usage.Used(leaf)
 	for _, dim := range leaf.Capacities.Dimensions() {
 		limit := leaf.Capacities[dim]
 		frac := 0.0
@@ -377,7 +307,7 @@ func (o *Online) feasibleLeaves(tr timeseries.Series, demand powertree.ResourceV
 		if post > n.Budget {
 			return nil // this node's breaker would trip; nothing below fits
 		}
-		if !n.CapacityFits(o.used[n], demand, nil) {
+		if !n.CapacityFits(o.usage.Used(n), demand, nil) {
 			return nil // a declared capacity dimension would overflow
 		}
 		if n.IsLeaf() {
@@ -415,7 +345,7 @@ func (o *Online) Admit(inst Instance) (*powertree.Node, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w for instance %q", ErrMissingTrace, inst.ID)
 	}
-	demand, err := o.resolveDemand(inst.ID, inst.Demands)
+	demand, err := o.usage.Resolve(inst.ID, inst.Demands)
 	if err != nil {
 		return nil, err
 	}
@@ -440,9 +370,7 @@ func (o *Online) Admit(inst Instance) (*powertree.Node, error) {
 	}
 	o.residentIDs[leaf] = append(o.residentIDs[leaf], inst.ID)
 	o.leafOf[inst.ID] = leaf
-	if demand != nil {
-		o.demandOf[inst.ID] = demand
-	}
+	o.usage.Set(inst.ID, demand)
 	if err := o.refresh(leaf); err != nil {
 		return nil, err
 	}
@@ -470,7 +398,7 @@ func (o *Online) Retire(id string) (*powertree.Node, error) {
 	ids := o.residentIDs[leaf]
 	o.residentIDs[leaf] = append(ids[:idx:idx], ids[idx+1:]...)
 	delete(o.leafOf, id)
-	delete(o.demandOf, id)
+	o.usage.Set(id, nil)
 	if err := o.refresh(leaf); err != nil {
 		return nil, err
 	}

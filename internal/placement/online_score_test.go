@@ -137,7 +137,7 @@ func TestOnlineSumScoringMatchesResidentTraces(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			instances, traces, tree := testFixture(t)
 			twin := &twinPolicy{t: t, prod: mustPolicy(t, v.cfg), ref: residentTracePolicy{traces: traces, farb: v.farb}}
-			o, err := NewOnlineWithPolicy(tree, traces, twin)
+			o, err := NewOnline(tree, traces, PolicyConfig{Custom: twin})
 			if err != nil {
 				t.Fatal(err)
 			}

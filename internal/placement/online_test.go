@@ -37,7 +37,7 @@ func TestOnlineAdmitsWholeFleet(t *testing.T) {
 	for _, policy := range onlinePolicies(t) {
 		t.Run(policy.Name(), func(t *testing.T) {
 			instances, traces, tree := testFixture(t)
-			o, err := NewOnlineWithPolicy(tree, traces, policy)
+			o, err := NewOnline(tree, traces, PolicyConfig{Custom: policy})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +185,7 @@ func TestOnlineDeterministicReplay(t *testing.T) {
 	} {
 		run := func() map[string]string {
 			instances, traces, tree := testFixture(t)
-			o, err := NewOnlineWithPolicy(tree, traces, mk())
+			o, err := NewOnline(tree, traces, PolicyConfig{Custom: mk()})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,7 +15,7 @@ import (
 // Policy selection is a single options struct: callers build a
 // PolicyConfig (kind, seed, FARB weights, optional demand resolver) and
 // hand it to NewOnline or NewPolicy; custom implementations plug in
-// through the Custom field or NewOnlineWithPolicy.
+// through the Custom field.
 
 // Policy picks which feasible leaf hosts an arriving instance — the
 // redesigned name for OnlinePolicy (kept as an alias for compatibility).

@@ -37,9 +37,6 @@ func TestNewPolicyKinds(t *testing.T) {
 	if _, err := NewPolicy(PolicyConfig{Kind: PolicyFARB, Weights: score.FARBWeights{Balance: -1}}); !errors.Is(err, score.ErrBadWeights) {
 		t.Fatalf("bad weights: %v", err)
 	}
-	if _, err := NewOnlineWithPolicy(nil, nil, nil); !errors.Is(err, ErrNilPolicy) {
-		t.Fatalf("nil policy: %v", err)
-	}
 	// Every built-in kind hands back a working policy value.
 	if mustPolicy(t, PolicyConfig{Kind: PolicyBestFit}).Name() != "best-fit" || mustPolicy(t, PolicyConfig{}).Name() != "asynchrony" {
 		t.Fatal("built-in policies broken")
@@ -106,7 +103,7 @@ func TestOnlineEnforcesCapacities(t *testing.T) {
 	if la == lb {
 		t.Fatalf("capacity-constrained pair co-located on %q", la.Name)
 	}
-	if got := o.Used(tree).Get("net"); got != 12 {
+	if got := o.Usage().Used(tree).Get("net"); got != 12 {
 		t.Fatalf("root used net = %v, want 12", got)
 	}
 
@@ -118,7 +115,7 @@ func TestOnlineEnforcesCapacities(t *testing.T) {
 	if n := tree.InstanceCount(); n != 2 {
 		t.Fatalf("rejected admission mutated the tree: %d instances", n)
 	}
-	if _, ok := o.Demand("c"); ok {
+	if _, ok := o.Usage().Demand("c"); ok {
 		t.Fatal("rejected admission leaked a demand record")
 	}
 
@@ -127,7 +124,7 @@ func TestOnlineEnforcesCapacities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := o.Used(freed).Get("net"); got != 0 {
+	if got := o.Usage().Used(freed).Get("net"); got != 0 {
 		t.Fatalf("freed leaf used net = %v, want 0", got)
 	}
 	lc, err := o.Admit(Instance{ID: "c", Service: "s"})
@@ -144,7 +141,7 @@ func TestOnlineEnforcesCapacities(t *testing.T) {
 	if _, err := o.Admit(Instance{ID: "d", Service: "s", Demands: powertree.ResourceVector{"net": 1}}); err != nil {
 		t.Fatalf("inline demand override: %v", err)
 	}
-	if d, _ := o.Demand("d"); d.Get("net") != 1 {
+	if d, _ := o.Usage().Demand("d"); d.Get("net") != 1 {
 		t.Fatalf("recorded demand = %v, want inline net:1", d)
 	}
 
@@ -238,13 +235,13 @@ func TestOnlineResyncPreservesDemands(t *testing.T) {
 	if err := o.Resync(la, other); err != nil {
 		t.Fatal(err)
 	}
-	if d, ok := o.Demand("a"); !ok || d.Get("net") != 3 {
+	if d, ok := o.Usage().Demand("a"); !ok || d.Get("net") != 3 {
 		t.Fatalf("demand for a after resync = %v (ok=%v), want net:3", d, ok)
 	}
-	if got := o.Used(other).Get("net"); got < 3 {
+	if got := o.Usage().Used(other).Get("net"); got < 3 {
 		t.Fatalf("used net on a's new leaf = %v, want ≥ 3", got)
 	}
-	if got := o.Used(tree).Get("net"); got != 5 {
+	if got := o.Usage().Used(tree).Get("net"); got != 5 {
 		t.Fatalf("root used net after resync = %v, want 5", got)
 	}
 }
@@ -261,13 +258,13 @@ func TestOnlinePowerOnlyEquivalence(t *testing.T) {
 	}
 	variants := []variant{
 		{"asynchrony", func(tr *powertree.Node, f TraceFn) (*Online, error) {
-			return NewOnlineWithPolicy(tr, f, OnlineAsynchrony{})
+			return NewOnline(tr, f, PolicyConfig{Custom: OnlineAsynchrony{}})
 		}, PolicyConfig{}},
 		{"best-fit", func(tr *powertree.Node, f TraceFn) (*Online, error) {
-			return NewOnlineWithPolicy(tr, f, OnlineBestFit{})
+			return NewOnline(tr, f, PolicyConfig{Custom: OnlineBestFit{}})
 		}, PolicyConfig{Kind: PolicyBestFit}},
 		{"random", func(tr *powertree.Node, f TraceFn) (*Online, error) {
-			return NewOnlineWithPolicy(tr, f, mustPolicy(t, PolicyConfig{Kind: PolicyRandom, Seed: 17}))
+			return NewOnline(tr, f, PolicyConfig{Custom: mustPolicy(t, PolicyConfig{Kind: PolicyRandom, Seed: 17})})
 		}, PolicyConfig{Kind: PolicyRandom, Seed: 17}},
 	}
 	for _, v := range variants {

@@ -83,9 +83,16 @@ func Remap(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, error
 		timer.End()
 		return nil, nil
 	}
-	capGuard, err := newRemapCapacity(tree, cfg.Policy.Demands)
-	if err != nil {
-		return nil, err
+	// The capacity guard: with a demand resolver, a swap is accepted only if
+	// both affected subtrees stay within every capacity dimension they
+	// declare. Without one no ledger is built, and the nil ledger fits
+	// every swap, so the power-only path is unchanged.
+	var usage *powertree.Usage
+	if cfg.Policy.Demands != nil {
+		var err error
+		if usage, err = powertree.NewUsage(tree, cfg.Policy.Demands); err != nil {
+			return nil, err
+		}
 	}
 
 	// Per-node cache of instance IDs, resolved traces, asynchrony score and
@@ -214,10 +221,7 @@ func Remap(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, error
 			order = order[:cfg.CandidateNodes]
 		}
 
-		victimDemand, err := capGuard.demandFor(wIDs[victim])
-		if err != nil {
-			return nil, err
-		}
+		victimDemand, _ := usage.Demand(wIDs[victim])
 
 		found := false
 		for _, cand := range order {
@@ -243,11 +247,8 @@ func Remap(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, error
 				curB := selfDiff(candState, j)
 				newB := diffWithout(wTraces[victim], pTraces, j)
 				if newB > curB {
-					partnerDemand, err := capGuard.demandFor(pIDs[j])
-					if err != nil {
-						return nil, err
-					}
-					if !capGuard.swapFits(worst, partner, victimDemand, partnerDemand) {
+					partnerDemand, _ := usage.Demand(pIDs[j])
+					if !usage.SwapFits(worst, partner, victimDemand, partnerDemand) {
 						continue // score improves but a capacity dimension would overflow
 					}
 					// Accept: "swap it ... if and only if that swap makes the
@@ -267,7 +268,7 @@ func Remap(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, error
 						NodeA: worst.Name, NodeB: partner.Name,
 						GainA: newA - curA, GainB: newB - curB,
 					})
-					capGuard.apply(worst, partner, victimDemand, partnerDemand)
+					usage.Refresh(worst, partner)
 					// Only the two nodes touched by the swap changed;
 					// every other cached trace set and score stays valid.
 					cache[worstIdx], cache[cand.idx] = nil, nil

@@ -128,11 +128,12 @@ func (q Query) validate() error {
 	return nil
 }
 
-// policy builds the placement policy options a query asked for. The query's
-// policy names map 1:1 onto placement.PolicyKind values; an empty policy is
-// the asynchrony default.
-func (q Query) policy() placement.PolicyConfig {
-	return placement.PolicyConfig{Kind: placement.PolicyKind(q.Policy), Seed: q.Seed}
+// policy builds the placement policy options a query asked for, with the
+// snapshot's resident demands as the resolver (nil when none declare any).
+// The query's policy names map 1:1 onto placement.PolicyKind values; an
+// empty policy is the asynchrony default.
+func (q Query) policy(demands placement.DemandFn) placement.PolicyConfig {
+	return placement.PolicyConfig{Kind: placement.PolicyKind(q.Policy), Seed: q.Seed, Demands: demands}
 }
 
 // policyName is the name reported in results (the default made explicit).
@@ -227,8 +228,11 @@ type Snapshot struct {
 	tree     *powertree.Node
 	traces   map[string]timeseries.Series
 	services map[string]string
-	asOf     time.Time
-	step     time.Duration
+	// demands holds the residents' declared demand vectors; nil when none
+	// declares any.
+	demands map[string]powertree.ResourceVector
+	asOf    time.Time
+	step    time.Duration
 
 	// beforeOnce guards the lazily computed baseline report, shared by
 	// every query on this snapshot (sync.Once publication).
@@ -241,19 +245,33 @@ type Snapshot struct {
 // maps are copied, so the caller's structures may keep mutating afterwards;
 // the Series values are shared by reference and must never be mutated in
 // place (the repo-wide aggregation convention). Every instance hosted on
-// the tree must resolve through traces. step is the telemetry sampling
-// interval; breaker scans use a sustain of twice the step, mirroring the
-// runtime's convention.
-func NewSnapshot(tree *powertree.Node, traces map[string]timeseries.Series, services map[string]string, asOf time.Time, step time.Duration) (*Snapshot, error) {
+// the tree must resolve through traces. demands, when non-nil, resolves
+// residents' resource demand vectors (the placement.DemandFn shape); each
+// resident's vector is copied once, and replace_service and add_instances
+// then place against those demands and the tree's capacities, as the
+// runtime's own placer does. step is the telemetry sampling interval;
+// breaker scans use a sustain of twice the step, mirroring the runtime's
+// convention.
+func NewSnapshot(tree *powertree.Node, traces map[string]timeseries.Series, services map[string]string, demands placement.DemandFn, asOf time.Time, step time.Duration) (*Snapshot, error) {
 	if tree == nil {
 		return nil, ErrNilTree
 	}
 	if step <= 0 {
 		return nil, fmt.Errorf("%w: got %v", ErrBadStep, step)
 	}
+	var dcopy map[string]powertree.ResourceVector
 	for _, id := range tree.AllInstances() {
 		if _, ok := traces[id]; !ok {
 			return nil, fmt.Errorf("%w: %q", ErrMissingTrace, id)
+		}
+		if demands == nil {
+			continue
+		}
+		if d, ok := demands(id); ok && len(d) > 0 {
+			if dcopy == nil {
+				dcopy = make(map[string]powertree.ResourceVector)
+			}
+			dcopy[id] = d.Clone()
 		}
 	}
 	tcopy := make(map[string]timeseries.Series, len(traces))
@@ -269,6 +287,7 @@ func NewSnapshot(tree *powertree.Node, traces map[string]timeseries.Series, serv
 		tree:     tree.Clone(),
 		traces:   tcopy,
 		services: scopy,
+		demands:  dcopy,
 		asOf:     asOf,
 		step:     step,
 	}, nil
@@ -280,6 +299,19 @@ func (s *Snapshot) AsOf() time.Time { return s.asOf }
 // sustain is the breaker-scan episode length: twice the sampling step, the
 // same convention the runtime uses for trip re-checks.
 func (s *Snapshot) sustain() time.Duration { return 2 * s.step }
+
+// demandFn views the snapshot's resident demands as a placement.DemandFn;
+// nil when no resident declares any, keeping the query's placer power-only.
+func (s *Snapshot) demandFn() placement.DemandFn {
+	if s.demands == nil {
+		return nil
+	}
+	demands := s.demands // a local so the closure captures no receiver state
+	return func(id string) (powertree.ResourceVector, bool) {
+		d, ok := demands[id]
+		return d, ok
+	}
+}
 
 // powerFn views the snapshot's traces (plus an optional overlay of
 // synthetic instances) as a powertree.PowerFn.
@@ -408,7 +440,7 @@ func (s *Snapshot) evalReplaceService(ctx context.Context, q Query, res *Result)
 			}
 		}
 	}
-	online, err := placement.NewOnline(scratch, placement.TraceFn(s.powerFn(nil)), q.policy())
+	online, err := placement.NewOnline(scratch, placement.TraceFn(s.powerFn(nil)), q.policy(s.demandFn()))
 	if err != nil {
 		return fmt.Errorf("plan: replace_service view: %w", err)
 	}
@@ -463,7 +495,7 @@ func (s *Snapshot) evalAddInstances(ctx context.Context, q Query, res *Result) e
 		return fmt.Errorf("%w: archetype %q has no placed instances with aligned traces", ErrUnknownService, q.Archetype)
 	}
 	extra := make(map[string]timeseries.Series, q.Count)
-	online, err := placement.NewOnline(scratch, placement.TraceFn(s.powerFn(extra)), q.policy())
+	online, err := placement.NewOnline(scratch, placement.TraceFn(s.powerFn(extra)), q.policy(s.demandFn()))
 	if err != nil {
 		return fmt.Errorf("plan: add_instances view: %w", err)
 	}
@@ -539,7 +571,7 @@ func (s *Snapshot) evalTripBreaker(q Query, workers int, res *Result) error {
 	if err != nil {
 		return fmt.Errorf("plan: trip_breaker capper: %w", err)
 	}
-	throttles, _, err := capper.Step(s.peakReader())
+	throttles, _, err := capper.Step(capping.PeakReader(s.traces))
 	if err != nil {
 		return fmt.Errorf("plan: trip_breaker capping step: %w", err)
 	}
@@ -563,21 +595,6 @@ func (s *Snapshot) window() (start, end time.Time, ok bool) {
 		return time.Time{}, time.Time{}, false
 	}
 	return tr.Start, tr.Start.Add(time.Duration(tr.Len()) * tr.Step), true
-}
-
-// peakReader views the snapshot's traces as capping state: each instance
-// draws its window peak and can be throttled to half of it (backend class)
-// — mirroring the runtime's emergency-capping reader.
-func (s *Snapshot) peakReader() capping.Reader {
-	traces := s.traces
-	return func(id string) (capping.InstanceState, bool) {
-		tr, ok := traces[id]
-		if !ok || tr.Len() == 0 {
-			return capping.InstanceState{}, false
-		}
-		p := tr.Peak()
-		return capping.InstanceState{Power: p, MinPower: 0.5 * p, Priority: capping.PriorityBackend}, true
-	}
 }
 
 // meanOf folds same-shaped traces into their pointwise mean. ok is false

@@ -54,7 +54,7 @@ func fixture(t *testing.T) (*powertree.Node, map[string]timeseries.Series, map[s
 func snapFixture(t *testing.T) *Snapshot {
 	t.Helper()
 	tree, traces, services, asOf := fixture(t)
-	snap, err := NewSnapshot(tree, traces, services, asOf, time.Hour)
+	snap, err := NewSnapshot(tree, traces, services, nil, asOf, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,14 +63,14 @@ func snapFixture(t *testing.T) *Snapshot {
 
 func TestNewSnapshotValidation(t *testing.T) {
 	tree, traces, services, asOf := fixture(t)
-	if _, err := NewSnapshot(nil, traces, services, asOf, time.Hour); !errors.Is(err, ErrNilTree) {
+	if _, err := NewSnapshot(nil, traces, services, nil, asOf, time.Hour); !errors.Is(err, ErrNilTree) {
 		t.Fatalf("nil tree: %v, want ErrNilTree", err)
 	}
-	if _, err := NewSnapshot(tree, traces, services, asOf, 0); !errors.Is(err, ErrBadStep) {
+	if _, err := NewSnapshot(tree, traces, services, nil, asOf, 0); !errors.Is(err, ErrBadStep) {
 		t.Fatalf("zero step: %v, want ErrBadStep", err)
 	}
 	delete(traces, "web-0")
-	if _, err := NewSnapshot(tree, traces, services, asOf, time.Hour); !errors.Is(err, ErrMissingTrace) {
+	if _, err := NewSnapshot(tree, traces, services, nil, asOf, time.Hour); !errors.Is(err, ErrMissingTrace) {
 		t.Fatalf("missing trace: %v, want ErrMissingTrace", err)
 	}
 }
@@ -80,7 +80,7 @@ func TestNewSnapshotValidation(t *testing.T) {
 // evaluating queries must not change the snapshot.
 func TestSnapshotIsolation(t *testing.T) {
 	tree, traces, services, asOf := fixture(t)
-	snap, err := NewSnapshot(tree, traces, services, asOf, time.Hour)
+	snap, err := NewSnapshot(tree, traces, services, nil, asOf, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,23 +93,6 @@ func (v ResourceVector) AddInPlace(w ResourceVector) ResourceVector {
 	return v
 }
 
-// SubInPlace subtracts w from v in place, clamping tiny negative residue
-// from float cancellation to exactly 0 so repeated admit/retire cycles
-// cannot drift a dimension below zero.
-func (v ResourceVector) SubInPlace(w ResourceVector) ResourceVector {
-	if len(w) == 0 || v == nil {
-		return v
-	}
-	for k, val := range w {
-		r := v[k] - val
-		if r < 0 {
-			r = 0
-		}
-		v[k] = r
-	}
-	return v
-}
-
 // Validate checks that every dimension is named, finite and non-negative,
 // and that the reserved power dimension is not redeclared.
 func (v ResourceVector) Validate() error {
@@ -138,52 +121,6 @@ func SumCapacities(children []*Node) ResourceVector {
 		sum = sum.AddInPlace(c.Capacities)
 	}
 	return sum
-}
-
-// SubtreeDemands sums every node's subtree demand bottom-up: the returned
-// map holds, for each node whose subtree hosts a demanding instance, the
-// per-dimension sum of those instances' demand vectors. Nodes whose subtree
-// demands nothing are absent. demand resolves one instance's vector (nil
-// means nothing beyond power); its error aborts the sum.
-func SubtreeDemands(root *Node, demand func(id string) (ResourceVector, error)) (map[*Node]ResourceVector, error) {
-	used := make(map[*Node]ResourceVector)
-	var sum func(n *Node) error
-	sum = func(n *Node) error {
-		for _, c := range n.Children {
-			if err := sum(c); err != nil {
-				return err
-			}
-		}
-		return RefreshDemand(used, n, demand)
-	}
-	if err := sum(root); err != nil {
-		return nil, err
-	}
-	return used, nil
-}
-
-// RefreshDemand recomputes one node's entry of a SubtreeDemands map from
-// the node's own instances and its children's entries, which must already
-// be current — the incremental form callers use to refresh a root path
-// after churn on one leaf.
-func RefreshDemand(used map[*Node]ResourceVector, n *Node, demand func(id string) (ResourceVector, error)) error {
-	var sum ResourceVector
-	for _, id := range n.Instances {
-		d, err := demand(id)
-		if err != nil {
-			return err
-		}
-		sum = sum.AddInPlace(d)
-	}
-	for _, c := range n.Children {
-		sum = sum.AddInPlace(used[c])
-	}
-	if sum == nil {
-		delete(used, n)
-	} else {
-		used[n] = sum
-	}
-	return nil
 }
 
 // CapacityFits reports whether used − out + in stays within every capacity
