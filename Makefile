@@ -156,6 +156,7 @@ fuzz:
 	$(GO) test -run=XXX -fuzz=FuzzLoadTree -fuzztime=10s ./internal/powertree/
 	$(GO) test -run=XXX -fuzz=FuzzUsage -fuzztime=10s ./internal/powertree/
 	$(GO) test -run=XXX -fuzz=FuzzDifferential -fuzztime=10s ./internal/score/
+	$(GO) test -run=XXX -fuzz=FuzzInjector -fuzztime=10s ./internal/faults/
 
 # fuzz-short is a bounded smoke pass over every fuzz target, cheap enough
 # for CI and pre-commit runs.
@@ -165,6 +166,7 @@ fuzz-short:
 	$(GO) test -run=XXX -fuzz=FuzzLoadTree -fuzztime=5s ./internal/powertree/
 	$(GO) test -run=XXX -fuzz=FuzzUsage -fuzztime=5s ./internal/powertree/
 	$(GO) test -run=XXX -fuzz=FuzzDifferential -fuzztime=5s ./internal/score/
+	$(GO) test -run=XXX -fuzz=FuzzInjector -fuzztime=5s ./internal/faults/
 
 clean:
 	rm -rf internal/*/testdata/fuzz

@@ -3,7 +3,8 @@
 // benchmark machinery) and writes them to a JSON file. `make bench-json`
 // produces BENCH_pipeline.json; successive PRs diff it to track the perf
 // trajectory of the scoring, aggregation and percentile kernels, of one
-// online admission and of the full experiment pipeline. The -scale flag adds a fleet-size axis pitting
+// online admission, of fault-injected telemetry ingest and of the full
+// experiment pipeline. The -scale flag adds a fleet-size axis pitting
 // the full O(fleet) aggregation sweep against the incremental delta tick
 // (≤1% of leaves dirty) at 10k/100k/1M instances.
 package main
@@ -18,11 +19,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/faults"
 	"repro/internal/placement"
 	"repro/internal/powertree"
 	"repro/internal/score"
 	"repro/internal/timeseries"
+	"repro/internal/tracestore"
 )
 
 // result is one benchmark row of the output file.
@@ -223,6 +227,40 @@ func benchmarks() (map[string]func(b *testing.B), error) {
 				_ = week.Percentile(95)
 			}
 		},
+		"faults/feed_light": func(b *testing.B) {
+			b.ReportAllocs()
+			inj, err := faults.New(faults.Light(1), ingestStep, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				from := ingestEpoch.Add(time.Duration(i) * ingestWeek)
+				for _, id := range ingestIDs {
+					for s := 0; s < ingestSlots; s++ {
+						inj.Feed(id, from.Add(time.Duration(s)*ingestStep), 100)
+					}
+				}
+			}
+		},
+		"core/ingest_light": func(b *testing.B) {
+			b.ReportAllocs()
+			rt, err := ingestRuntime()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				from := ingestEpoch.Add(time.Duration(i) * ingestWeek)
+				for _, id := range ingestIDs {
+					for s := 0; s < ingestSlots; s++ {
+						if err := rt.Ingest(id, from.Add(time.Duration(s)*ingestStep), 100); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			}
+		},
 		"experiments/run_all": func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -248,7 +286,48 @@ var names = []string{
 	"timeseries/percentile_calc_week",
 	"timeseries/percentile_sketch_week",
 	"timeseries/percentile_series_week",
+	"faults/feed_light",
+	"core/ingest_light",
 	"experiments/run_all",
+}
+
+// The ingest rows replay one week of 30-minute telemetry for 1,000
+// instances per op through faults.Light(1), instance by instance, oldest
+// reading first. Successive ops feed successive weeks to the same injector
+// (and, for core/ingest_light, the same one-week store), so they measure
+// the steady state: every record exists and every new slot advances the
+// store's window.
+const (
+	ingestStep  = 30 * time.Minute
+	ingestWeek  = 7 * 24 * time.Hour
+	ingestSlots = int(ingestWeek / ingestStep)
+)
+
+var (
+	ingestEpoch = time.Date(2016, 8, 1, 0, 0, 0, 0, time.UTC)
+	ingestIDs   = func() []string {
+		ids := make([]string, 1000)
+		for i := range ids {
+			ids[i] = fmt.Sprintf("i%04d", i)
+		}
+		return ids
+	}()
+)
+
+// ingestRuntime is a fault-injected runtime over a one-week store.
+func ingestRuntime() (*core.Runtime, error) {
+	tree, err := powertree.Build(powertree.TopologySpec{
+		Name: "ingest", SuitesPerDC: 1, MSBsPerSuite: 1, SBsPerMSB: 1, RPPsPerSB: 2, LeafBudget: 1e9,
+	})
+	if err != nil {
+		return nil, err
+	}
+	inj, err := faults.New(faults.Light(1), ingestStep, tree)
+	if err != nil {
+		return nil, err
+	}
+	store := tracestore.New(tracestore.Config{Step: ingestStep, Retention: ingestWeek})
+	return core.NewRuntime(core.New(core.Config{}), store, tree, core.RuntimeConfig{Faults: inj})
 }
 
 // scalePoint is one rung of the fleet-size axis: a topology sized so the

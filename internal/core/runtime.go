@@ -222,14 +222,14 @@ func NewRuntime(fw *Framework, store *tracestore.Store, tree *powertree.Node, cf
 // Ingest forwards one power reading into the store. With fault injection
 // configured the reading first passes through the injector — it may be
 // dropped, corrupted, skewed or delayed — and whatever the injector delivers
-// is appended. Transient store failures are retried up to the configured
-// bound with doubling backoff before surfacing.
+// is appended. A delivery's injected transient store failures are retried
+// up to the configured bound with doubling backoff before surfacing.
 func (r *Runtime) Ingest(id string, at time.Time, watts float64) error {
 	if r.faults == nil {
-		return r.appendWithRetry(id, at, watts)
+		return r.storeAppend(id, at, watts)
 	}
 	for _, rd := range r.faults.Feed(id, at, watts) {
-		if err := r.appendWithRetry(rd.ID, rd.At, rd.Watts); err != nil {
+		if err := r.appendWithRetry(rd); err != nil {
 			return err
 		}
 	}
@@ -244,23 +244,21 @@ func (r *Runtime) FlushFaults() error {
 		return nil
 	}
 	for _, rd := range r.faults.Flush() {
-		if err := r.appendWithRetry(rd.ID, rd.At, rd.Watts); err != nil {
+		if err := r.appendWithRetry(rd); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (r *Runtime) appendWithRetry(id string, at time.Time, watts float64) error {
+// appendWithRetry lands one injector delivery: each of its rd.Failures
+// transient failures costs one retry (with doubling backoff), and failures
+// that outlast the retry bound surface as tracestore.ErrTransient.
+func (r *Runtime) appendWithRetry(rd faults.Reading) error {
 	wait := r.backoff
-	for attempt := 0; ; attempt++ {
-		err := r.storeAppend(id, at, watts, attempt)
-		if err == nil {
-			obsIngestSamples.Inc()
-			return nil
-		}
-		if !errors.Is(err, tracestore.ErrTransient) || attempt >= r.retries {
-			return err
+	for attempt := 0; attempt < rd.Failures; attempt++ {
+		if attempt >= r.retries {
+			return fmt.Errorf("core: ingesting %q at %v: %w", rd.ID, rd.At, tracestore.ErrTransient)
 		}
 		obsIngestRetries.Inc()
 		if wait > 0 {
@@ -268,13 +266,15 @@ func (r *Runtime) appendWithRetry(id string, at time.Time, watts float64) error 
 			wait *= 2
 		}
 	}
+	return r.storeAppend(rd.ID, rd.At, rd.Watts)
 }
 
-func (r *Runtime) storeAppend(id string, at time.Time, watts float64, attempt int) error {
-	if r.faults != nil && r.faults.TransientAppendFailure(id, at, attempt) {
-		return fmt.Errorf("core: ingesting %q at %v: %w", id, at, tracestore.ErrTransient)
+func (r *Runtime) storeAppend(id string, at time.Time, watts float64) error {
+	if err := r.store.Append(id, at, watts); err != nil {
+		return err
 	}
-	return r.store.Append(id, at, watts)
+	obsIngestSamples.Inc()
+	return nil
 }
 
 // Tree exposes the current (placed) tree for inspection.

@@ -34,6 +34,10 @@ type Reading struct {
 	At time.Time
 	// Watts is the (possibly corrupted) power value.
 	Watts float64
+	// Failures is how many store appends of this delivery fail with a
+	// retryable error (tracestore.ErrTransient) before one lands: 0, 1 or
+	// 2, decided once when the reading leaves the injector.
+	Failures int
 }
 
 // TripWindow schedules an injected breaker trip on a named power node:
@@ -108,9 +112,9 @@ type Profile struct {
 	ReorderFraction   float64
 	ReorderDelaySlots int
 
-	// TransientRate is the fraction of store appends that fail with a
-	// retryable error (tracestore.ErrTransient) before succeeding —
-	// exercised through Injector.TransientAppendFailure.
+	// TransientRate is the fraction of deliveries whose store append fails
+	// with a retryable error (tracestore.ErrTransient) once or twice before
+	// succeeding — carried to the runtime in Reading.Failures.
 	TransientRate float64
 
 	// LeafOutageRate is the expected fraction of readings lost to
@@ -255,13 +259,31 @@ type Injector struct {
 	p    Profile
 	step time.Duration
 
-	// leafOf maps instance → hosting leaf name, for whole-leaf outages.
+	// leafOf maps instance → hosting leaf name, for whole-leaf outages. It
+	// is read only when an instance's record is built.
 	leafOf map[string]string
-	// lastGood latches the last non-stuck value delivered per instance.
-	lastGood map[string]float64
-	// pending is the per-instance reorder buffer, kept sorted by release
-	// slot then arrival order.
-	pending map[string][]pendingReading
+	// inst holds one fault record per instance, created on its first
+	// reading.
+	inst map[string]*instState
+	// out is the delivery buffer Feed fills and returns.
+	out []Reading
+}
+
+// instState is one instance's fault record: its folded decision keys and
+// skew, computed once, plus the state its faults carry between readings.
+type instState struct {
+	// idFold and leafFold are the FNV-1a folds of the instance ID and of
+	// its leaf name (see fold).
+	idFold, leafFold uint64
+	// skew is the instance's constant clock offset (see Skew).
+	skew time.Duration
+	// lastGood latches the last non-stuck value delivered; hasGood marks
+	// it set.
+	lastGood float64
+	hasGood  bool
+	// pending is the reorder buffer, kept sorted by release slot then
+	// arrival order.
+	pending []pendingReading
 }
 
 // pendingReading is a delayed delivery waiting in the reorder buffer.
@@ -281,10 +303,9 @@ func New(p Profile, step time.Duration, tree *powertree.Node) (*Injector, error)
 		return nil, ErrBadStep
 	}
 	inj := &Injector{
-		p:        p,
-		step:     step,
-		lastGood: make(map[string]float64),
-		pending:  make(map[string][]pendingReading),
+		p:    p,
+		step: step,
+		inst: make(map[string]*instState),
 	}
 	if tree != nil {
 		inj.leafOf = tree.InstanceLeaves()
@@ -322,10 +343,9 @@ func (f *Injector) slotOf(at time.Time) int64 {
 	return at.UnixNano() / int64(f.step)
 }
 
-// hash derives a 64-bit decision value from (seed, kind, key, n) with a
-// SplitMix64 finisher over an FNV-1a fold — cheap, stateless, and
-// independent of evaluation order.
-func (f *Injector) hash(kind int, key string, n int64) uint64 {
+// fold is the FNV-1a fold of a decision key — the part of the decision
+// hash that depends on the key alone, so a record computes it once.
+func fold(key string) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -335,6 +355,13 @@ func (f *Injector) hash(kind int, key string, n int64) uint64 {
 		h ^= uint64(key[i])
 		h *= prime64
 	}
+	return h
+}
+
+// mix derives a 64-bit decision value from (seed, kind, folded key, n)
+// with a SplitMix64 finisher — cheap, stateless, and independent of
+// evaluation order.
+func (f *Injector) mix(h uint64, kind int, n int64) uint64 {
 	h ^= uint64(f.p.Seed) + uint64(kind)*0x9e3779b97f4a7c15 + uint64(n)*0xbf58476d1ce4e5b9
 	// SplitMix64 finisher.
 	h ^= h >> 30
@@ -345,9 +372,9 @@ func (f *Injector) hash(kind int, key string, n int64) uint64 {
 	return h
 }
 
-// chance converts a hash into a uniform [0, 1) probability draw.
-func (f *Injector) chance(kind int, key string, n int64) float64 {
-	return float64(f.hash(kind, key, n)>>11) / (1 << 53)
+// chance converts a decision value into a uniform [0, 1) probability draw.
+func (f *Injector) chance(h uint64, kind int, n int64) float64 {
+	return float64(f.mix(h, kind, n)>>11) / (1 << 53)
 }
 
 // active reports whether the profile injects at the given time.
@@ -362,140 +389,146 @@ func (f *Injector) active(at time.Time) bool {
 }
 
 // burstHit reports whether the burst-structured fault `kind` is active for
-// key at slot: time is divided into windows of `burst` slots and a whole
-// window fires with probability rate, so the expected fraction of affected
-// readings is rate while losses stay bursty like real sensor outages.
-func (f *Injector) burstHit(kind int, key string, slot int64, rate float64, burst int) bool {
+// the folded key h at slot: time is divided into windows of `burst` slots
+// and a whole window fires with probability rate, so the expected fraction
+// of affected readings is rate while losses stay bursty like real sensor
+// outages.
+func (f *Injector) burstHit(h uint64, kind int, slot int64, rate float64, burst int) bool {
 	if rate <= 0 {
 		return false
 	}
 	block := slot / int64(burst)
-	return f.chance(kind, key, block) < rate
+	return f.chance(h, kind, block) < rate
 }
 
 // Skew returns the instance's constant clock offset (zero for unskewed
 // instances): whole slots, uniform in [1, MaxSkew/step], stable per
 // instance.
 func (f *Injector) Skew(id string) time.Duration {
+	return f.skew(fold(id))
+}
+
+func (f *Injector) skew(h uint64) time.Duration {
 	if f.p.SkewFraction <= 0 {
 		return 0
 	}
-	if f.chance(kindSkew, id, 0) >= f.p.SkewFraction {
+	if f.chance(h, kindSkew, 0) >= f.p.SkewFraction {
 		return 0
 	}
 	maxSlots := int64(f.p.MaxSkew / f.step)
 	if maxSlots < 1 {
 		maxSlots = 1
 	}
-	n := 1 + int64(f.hash(kindSkewAmount, id, 0)%uint64(maxSlots))
+	n := 1 + int64(f.mix(h, kindSkewAmount, 0)%uint64(maxSlots))
 	return time.Duration(n) * f.step
+}
+
+// state returns the instance's fault record, building it on first use.
+func (f *Injector) state(id string) *instState {
+	if st := f.inst[id]; st != nil {
+		return st
+	}
+	st := &instState{idFold: fold(id), leafFold: fold(f.leafOf[id])}
+	st.skew = f.skew(st.idFold)
+	f.inst[id] = st
+	return st
 }
 
 // Feed passes one reading through the injector and returns the deliveries
 // due now: the (possibly transformed) reading itself unless it was dropped
 // or delayed, followed by any previously delayed readings of the same
 // instance whose release slot has arrived — those arrive out of order by
-// construction.
+// construction. Each delivery carries its Failures.
+//
+// The returned slice is the injector's own buffer: it is valid only until
+// the next Feed or Flush, so callers consume it before feeding again.
 func (f *Injector) Feed(id string, at time.Time, watts float64) []Reading {
-	var out []Reading
+	st := f.state(id)
+	f.out = f.out[:0]
 	slot := f.slotOf(at)
 	if f.active(at) {
 		switch {
-		case f.leafOf != nil && f.burstHit(kindLeafOutage, f.leafOf[id], slot, f.p.LeafOutageRate, f.p.leafOutageBurst()):
+		case f.leafOf != nil && f.burstHit(st.leafFold, kindLeafOutage, slot, f.p.LeafOutageRate, f.p.leafOutageBurst()):
 			obsLeafOutageDrops.Inc()
-		case f.burstHit(kindDropout, id, slot, f.p.DropoutRate, f.p.dropoutBurst()):
+		case f.burstHit(st.idFold, kindDropout, slot, f.p.DropoutRate, f.p.dropoutBurst()):
 			obsDropped.Inc()
 		default:
-			if f.burstHit(kindStuck, id, slot, f.p.StuckRate, f.p.stuckBurst()) {
-				if last, ok := f.lastGood[id]; ok {
-					watts = last
+			if f.burstHit(st.idFold, kindStuck, slot, f.p.StuckRate, f.p.stuckBurst()) {
+				if st.hasGood {
+					watts = st.lastGood
 					obsStuck.Inc()
 				}
 			} else {
-				if f.chance(kindSpike, id, slot) < f.p.SpikeRate {
+				if f.chance(st.idFold, kindSpike, slot) < f.p.SpikeRate {
 					watts *= f.p.spikeFactor()
 					obsSpiked.Inc()
 				}
-				f.lastGood[id] = watts
+				st.lastGood, st.hasGood = watts, true
 			}
-			if skew := f.Skew(id); skew != 0 {
-				at = at.Add(skew)
+			if st.skew != 0 {
+				at = at.Add(st.skew)
 				obsSkewed.Inc()
 			}
 			r := Reading{ID: id, At: at, Watts: watts}
-			if f.p.ReorderFraction > 0 && f.chance(kindReorder, id, slot) < f.p.ReorderFraction {
-				delay := 1 + int64(f.hash(kindReorderDelay, id, slot)%uint64(f.p.reorderDelay()))
-				f.pending[id] = append(f.pending[id], pendingReading{release: slot + delay, r: r})
+			if f.p.ReorderFraction > 0 && f.chance(st.idFold, kindReorder, slot) < f.p.ReorderFraction {
+				delay := 1 + int64(f.mix(st.idFold, kindReorderDelay, slot)%uint64(f.p.reorderDelay()))
+				st.pending = append(st.pending, pendingReading{release: slot + delay, r: r})
 				obsReordered.Inc()
 			} else {
-				out = append(out, r)
+				f.out = append(f.out, f.deliver(st, r))
 			}
 		}
 	} else {
-		out = append(out, Reading{ID: id, At: at, Watts: watts})
-		f.lastGood[id] = watts
+		f.out = append(f.out, f.deliver(st, Reading{ID: id, At: at, Watts: watts}))
+		st.lastGood, st.hasGood = watts, true
 	}
 	// Release delayed readings that are due — they deliver after newer
 	// readings already have, i.e. out of order.
-	out = append(out, f.release(id, slot)...)
-	return out
+	if len(st.pending) > 0 {
+		rest := st.pending[:0]
+		for _, p := range st.pending {
+			if p.release <= slot {
+				f.out = append(f.out, f.deliver(st, p.r))
+			} else {
+				rest = append(rest, p)
+			}
+		}
+		st.pending = rest
+	}
+	return f.out
 }
 
-// release drains the instance's reorder buffer up to the given slot.
-func (f *Injector) release(id string, slot int64) []Reading {
-	q := f.pending[id]
-	if len(q) == 0 {
-		return nil
+// deliver stamps a reading leaving the injector with its transient store
+// failures: a flaky append fails one or two attempts and then succeeds, so
+// a retry loop allowing two retries always lands the reading. The decision
+// is keyed on the delivered timestamp, and each failure is counted here.
+func (f *Injector) deliver(st *instState, r Reading) Reading {
+	if f.p.TransientRate <= 0 || !f.active(r.At) {
+		return r
 	}
-	var out []Reading
-	rest := q[:0]
-	for _, p := range q {
-		if p.release <= slot {
-			out = append(out, p.r)
-		} else {
-			rest = append(rest, p)
-		}
+	slot := f.slotOf(r.At)
+	if f.chance(st.idFold, kindTransient, slot) >= f.p.TransientRate {
+		return r
 	}
-	if len(rest) == 0 {
-		delete(f.pending, id)
-	} else {
-		f.pending[id] = rest
-	}
-	return out
+	r.Failures = 1 + int(f.mix(st.idFold, kindTransientLen, slot)%2)
+	obsTransient.Add(uint64(r.Failures))
+	return r
 }
 
 // Flush drains every reorder buffer, returning the held readings sorted by
 // instance then arrival order. Call it at the end of an ingest window so
-// delayed readings are not lost.
+// delayed readings are not lost. The result is freshly allocated; it is nil
+// when nothing was held.
 func (f *Injector) Flush() []Reading {
 	var out []Reading
-	for _, id := range detmap.SortedKeys(f.pending) {
-		for _, p := range f.pending[id] {
-			out = append(out, p.r)
+	for _, id := range detmap.SortedKeys(f.inst) {
+		st := f.inst[id]
+		for _, p := range st.pending {
+			out = append(out, f.deliver(st, p.r))
 		}
-		delete(f.pending, id)
+		st.pending = st.pending[:0]
 	}
 	return out
-}
-
-// TransientAppendFailure reports whether the store append for (id, at)
-// fails retryably on the given attempt (0 = first try). Flaky appends fail
-// one or two attempts and then succeed, so a bounded-backoff retry loop
-// always lands the reading.
-func (f *Injector) TransientAppendFailure(id string, at time.Time, attempt int) bool {
-	if f.p.TransientRate <= 0 || !f.active(at) {
-		return false
-	}
-	slot := f.slotOf(at)
-	if f.chance(kindTransient, id, slot) >= f.p.TransientRate {
-		return false
-	}
-	failures := 1 + int(f.hash(kindTransientLen, id, slot)%2)
-	if attempt < failures {
-		obsTransient.Inc()
-		return true
-	}
-	return false
 }
 
 // TripsOverlapping returns the scheduled trips that intersect [from, to),

@@ -284,16 +284,17 @@ func TestTransientAppendFailureRetriesOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	at := epoch
-	if !inj.TransientAppendFailure("a", at, 0) {
-		t.Fatal("rate-1 transient did not fail the first attempt")
+	got := inj.Feed("a", at, 100)
+	if len(got) != 1 || got[0].Failures < 1 {
+		t.Fatalf("rate-1 transient did not fail the first attempt: %+v", got)
 	}
 	// Flaky appends fail at most two attempts; the third always lands.
-	if inj.TransientAppendFailure("a", at, 2) {
-		t.Fatal("transient failure did not clear by attempt 2")
+	if got[0].Failures > 2 {
+		t.Fatalf("transient failure did not clear by attempt 2: %+v", got)
 	}
 	clean, _ := New(Profile{Seed: 6}, time.Minute, nil)
-	if clean.TransientAppendFailure("a", at, 0) {
-		t.Fatal("zero-rate profile injected a transient failure")
+	if got := clean.Feed("a", at, 100); len(got) != 1 || got[0].Failures != 0 {
+		t.Fatalf("zero-rate profile injected a transient failure: %+v", got)
 	}
 }
 

@@ -73,13 +73,16 @@ type Store struct {
 	instances map[string]*ring //smoothop:guardedby mu
 }
 
-// ring is a per-instance circular buffer of slot values.
+// ring is a per-instance sliding window of retention/step slot values,
+// oldest first. It is not circular: moving the window shifts the values in
+// place.
 type ring struct {
-	// start is the timestamp of slot[head].
+	// start is the timestamp of values[0].
 	start time.Time
 	// values[i] is the reading for slot start+i*step; NaN marks a gap.
 	values []float64
-	// filled is the number of slots ever written (bounds reads on young rings).
+	// latest is the newest timestamp written; count is the number of
+	// non-NaN values.
 	latest time.Time
 	count  int
 }
@@ -137,7 +140,7 @@ func (s *Store) Append(id string, at time.Time, watts float64) error {
 		idx = 0
 	case idx >= slots:
 		// Advance the window, discarding the oldest slots.
-		r.advance(idx-slots+1, step, slots)
+		r.advance(idx-slots+1, step)
 		idx = slots - 1
 	}
 	if math.IsNaN(r.values[idx]) {
@@ -170,19 +173,22 @@ func (r *ring) shiftBack(n, slots int, step time.Duration) {
 	r.start = r.start.Add(-time.Duration(n) * step)
 }
 
-// advance moves the window forward by n slots.
-func (r *ring) advance(n int, step time.Duration, slots int) {
-	if n >= slots {
-		r.values = nanSlice(slots)
-		r.count = 0
-		r.start = r.start.Add(time.Duration(n) * step)
-		return
-	}
-	nv := nanSlice(slots)
-	copy(nv, r.values[n:])
-	r.recount(nv)
-	r.values = nv
+// advance moves the window forward by n slots in place: the oldest n
+// values are dropped (and uncounted), the rest shift down and the freed
+// tail becomes gaps.
+func (r *ring) advance(n int, step time.Duration) {
 	r.start = r.start.Add(time.Duration(n) * step)
+	n = min(n, len(r.values))
+	for _, v := range r.values[:n] {
+		if !math.IsNaN(v) {
+			r.count--
+		}
+	}
+	kept := copy(r.values, r.values[n:])
+	nan := math.NaN()
+	for i := kept; i < len(r.values); i++ {
+		r.values[i] = nan
+	}
 }
 
 func (r *ring) recount(values []float64) {
